@@ -29,7 +29,6 @@ from .density import (
     split_point,
     g_count,
     g_count_split,
-    has_large_prime_factor,
     large_factor_census,
     rough_tail_sum,
 )
@@ -38,7 +37,6 @@ from .outcomes import VerificationOutcome, Witness
 from .partial_sums import (
     EULER_GAMMA,
     MEISSEL_MERTENS_REFERENCE,
-    ArithSeries,
     ConstantEstimate,
     ResidualReport,
     abel_summation,
@@ -66,13 +64,13 @@ from .sieve import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArithSeries", "ConstantEstimate", "CumulativeTable", "DomainError",
-    "EULER_GAMMA", "Factorization", "LambdaValue", "LargeFactorCensus",
+    "ConstantEstimate", "CumulativeTable", "DomainError", "EULER_GAMMA",
+    "Factorization", "LambdaValue", "LargeFactorCensus",
     "MEISSEL_MERTENS_REFERENCE", "ResidualReport", "ResourceError",
     "SieveTable", "VerificationOutcome", "Witness", "abel_summation",
     "build_sieve", "census_oracle", "chebyshev_psi", "density_series",
     "factorize", "g_count", "g_count_split", "generalized_lambda",
-    "has_large_prime_factor", "lambda_sum_residual_report",
+    "lambda_sum_residual_report",
     "large_factor_census", "largest_prime_factor",
     "legendre_valuation", "log_factorial_direct", "log_factorial_via_lambda",
     "log_zeta_truncation", "meissel_mertens_from_series",

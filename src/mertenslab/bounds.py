@@ -4,16 +4,23 @@ Every check runs in log space with a 1e-9 slack guard so float error
 can never fabricate a counterexample of a proven theorem; where exact
 integer arithmetic is feasible (small parameters) a zero-tolerance
 big-integer pass runs alongside. Failures are reported, never raised.
+
+pi(n), psi(x) and the sum of 1/p are step functions checked against
+monotone curves, so those checks evaluate only where a constant piece
+starts or ends (partial_sums.piece_ends), which covers every integer in
+range. psi there is the compensated prefix sum of the sorted prime-power
+terms, within 16 ulps of the exact value at 1e7.
 """
 
 import math
 
 import numpy as np
 
-from .arith import log_factorial_table, psi_table, theta_table
+from .arith import log_factorial_table, prime_power_terms, theta_table
 from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness
-from .partial_sums import mertens_bound_sweep
+from .partial_sums import (_jump_cumulative, mertens_bound_sweep, piece_ends,
+                           step_values)
 from .sieve import SieveTable
 from .summation import compensated_cumsum
 
@@ -58,12 +65,18 @@ def check_binomial_bounds(n_max: int) -> VerificationOutcome:
 
 
 def check_psi_dyadic(table: SieveTable, n_max: int) -> VerificationOutcome:
-    """psi(2n) - psi(n) <= 2n log 2 for n = 1..n_max."""
+    """psi(2n) - psi(n) <= 2n log 2 for n = 1..n_max.
+
+    For each prime power q, psi(2n) moves at n = ceil(q/2) and psi(n) at
+    n = q; between those points the gain is constant and the cap grows.
+    """
     if not 1 <= 2 * n_max <= table.limit:
         raise DomainError(f"2*n_max={2 * n_max} outside [2, {table.limit}]")
-    psi = psi_table(table, 2 * n_max).values
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    gain = psi[2 * ns] - psi[ns]
+    pos, psi = _jump_cumulative(*prime_power_terms(table, 2 * n_max))
+    moves = np.sort(np.concatenate(((pos + 1) // 2, pos)))
+    ns, _ = piece_ends(moves, 1, n_max)
+    gain = (step_values(psi, np.searchsorted(pos, 2 * ns, side="right"))
+            - step_values(psi, np.searchsorted(pos, ns, side="right")))
     cap = 2.0 * ns * math.log(2.0)
     worst = _worst(cap - gain, ns, gain, cap)
     return VerificationOutcome("psi-dyadic", (1, n_max),
@@ -72,14 +85,18 @@ def check_psi_dyadic(table: SieveTable, n_max: int) -> VerificationOutcome:
 
 def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
                      c2: float = 1.2, x_lo: int = 2) -> VerificationOutcome:
-    """c1 x <= psi(x) <= c2 x on [x_lo, x_max]; constants calibrated."""
+    """c1 x <= psi(x) <= c2 x on [x_lo, x_max]; constants calibrated.
+
+    psi is constant between prime powers while both lines grow, so the
+    lower margin is tightest at a piece's right end, the upper at its left.
+    """
     if not x_lo <= x_max <= table.limit:
         raise DomainError(f"x_max={x_max} outside [{x_lo}, {table.limit}]")
     if not 0 < c1 < c2:
         raise DomainError(f"need 0 < c1 < c2, got ({c1}, {c2})")
-    psi = psi_table(table, x_max).values
-    xs = np.arange(x_lo, x_max + 1, dtype=np.int64)
-    vals = psi[xs]
+    pos, psi = _jump_cumulative(*prime_power_terms(table, x_max))
+    xs, counts = piece_ends(pos, x_lo, x_max)
+    vals = step_values(psi, counts)
     lower = _worst(vals - c1 * xs, xs, c1 * xs, vals)
     upper = _worst(c2 * xs - vals, xs, vals, c2 * xs)
     worst = _merge(lower, upper)
@@ -146,19 +163,17 @@ def check_stirling_lower(m_max: int) -> VerificationOutcome:
                                worst.margin > 0, worst)
 
 
-def check_pi_upper(table: SieveTable, n_max: int,
-                   chunk: int = 1 << 20) -> VerificationOutcome:
-    """pi(n) <= e n / log n for n = 3..n_max."""
+def check_pi_upper(table: SieveTable, n_max: int) -> VerificationOutcome:
+    """pi(n) <= e n / log n for n = 3..n_max.
+
+    The cap grows for n >= 3 and pi is constant between primes, so each
+    piece is tightest at its left end.
+    """
     if not 3 <= n_max <= table.limit:
         raise DomainError(f"n_max={n_max} outside [3, {table.limit}]")
-    worst = Witness(input=3, lhs=0.0, rhs=0.0, margin=math.inf)
-    for lo in range(3, n_max + 1, chunk):
-        hi = min(lo + chunk, n_max + 1)
-        ns = np.arange(lo, hi, dtype=np.int64)
-        pis = np.searchsorted(table.primes, ns, side="right")
-        cap = math.e * ns / np.log(ns.astype(np.float64))
-        cand = _worst(cap - pis, ns, pis.astype(np.float64), cap)
-        worst = _merge(worst, cand)
+    ns, pis = piece_ends(table.primes, 3, n_max)
+    cap = math.e * ns / np.log(ns.astype(np.float64))
+    worst = _worst(cap - pis, ns, pis.astype(np.float64), cap)
     return VerificationOutcome("pi-upper", (3, n_max), worst.margin >= 0,
                                worst)
 
@@ -178,24 +193,23 @@ def check_dusart(table: SieveTable, n_max: int) -> VerificationOutcome:
     return VerificationOutcome("dusart", (6, n_max), worst.margin > 0, worst)
 
 
-def check_reciprocal_lower(table: SieveTable, n_max: int,
-                           chunk: int = 1 << 20) -> VerificationOutcome:
-    """S(n) >= loglog(n+1) - log(pi^2/6) for n = 2..n_max."""
+def check_reciprocal_lower(table: SieveTable,
+                           n_max: int) -> VerificationOutcome:
+    """S(n) >= loglog(n+1) - log(pi^2/6) for n = 2..n_max.
+
+    S is constant between primes and the floor grows, so each piece is
+    tightest at its right end.
+    """
     if not 2 <= n_max <= table.limit:
         raise DomainError(f"n_max={n_max} outside [2, {table.limit}]")
     cut = int(np.searchsorted(table.primes, n_max, side="right"))
     ps = table.primes[:cut]
     cum = compensated_cumsum(1.0 / ps.astype(np.float64))
     shift = math.log(math.pi * math.pi / 6.0)
-    worst = Witness(input=2, lhs=0.0, rhs=0.0, margin=math.inf)
-    for lo in range(2, n_max + 1, chunk):
-        hi = min(lo + chunk, n_max + 1)
-        ns = np.arange(lo, hi, dtype=np.int64)
-        idx = np.searchsorted(ps, ns, side="right")
-        s_vals = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        floor = np.log(np.log(ns.astype(np.float64) + 1.0)) - shift
-        cand = _worst(s_vals - floor, ns, floor, s_vals)
-        worst = _merge(worst, cand)
+    ns, counts = piece_ends(ps, 2, n_max)
+    s_vals = step_values(cum, counts)
+    floor = np.log(np.log(ns.astype(np.float64) + 1.0)) - shift
+    worst = _worst(s_vals - floor, ns, floor, s_vals)
     return VerificationOutcome("reciprocal-lower", (2, n_max),
                                worst.margin >= -SLACK, worst)
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness
-from .partial_sums import LOG2, ResidualLaw, ResidualReport, ResidualRow
+from .partial_sums import (LOG2, ResidualLaw, ResidualReport, ResidualRow,
+                           piece_ends, step_values)
 from .sieve import SieveTable, largest_factor_range
 from .summation import fsum
 
@@ -40,19 +41,6 @@ class LargeFactorCensus:
         if not math.sqrt(self.x) < self.split_point <= 1 + self.x:
             raise DomainError(
                 f"split point {self.split_point} outside (sqrt x, 1 + x]")
-
-
-def has_large_prime_factor(table: SieveTable, n: int) -> bool:
-    """True iff the largest prime factor p of n satisfies p*p > n."""
-    table.check_range(n)
-    m = n
-    p = 0
-    spf = table.spf
-    while m > 1:
-        p = int(spf[m])
-        while m % p == 0:
-            m //= p
-    return p * p > n
 
 
 def census_oracle(table: SieveTable, x: int, block: int = 1 << 20) -> int:
@@ -242,36 +230,32 @@ def split_interval_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
 
 def small_part_bound_sweep(table: SieveTable, x_max: int,
                            x_min: int = 10) -> VerificationOutcome:
-    """sum_{p <= sqrt x}(p-1) <= pi(sqrt x) sqrt x <= e x / log(sqrt x)."""
+    """sum_{p <= sqrt x}(p-1) <= pi(sqrt x) sqrt x <= e x / log(sqrt x).
+
+    pi(sqrt x) and the small part only move at prime squares. Between
+    them both margins grow with x (the upper one because
+    pi(t) < 1.26 t / log t), so each piece is tightest at its left end.
+    """
     if not x_min <= x_max <= table.limit:
         raise DomainError(f"x_max={x_max} outside [{x_min}, {table.limit}]")
     cut = int(np.searchsorted(table.primes, math.isqrt(x_max), side="right"))
     roots = table.primes[:cut]
-    squares = roots * roots
-    small_cum = np.cumsum(roots - 1)
-    worst = Witness(input=x_min, lhs=0.0, rhs=0.0, margin=math.inf)
-    ok = True
-    for lo in range(x_min, x_max + 1, 1 << 20):
-        hi = min(lo + (1 << 20), x_max + 1)
-        xs = np.arange(lo, hi, dtype=np.int64)
-        idx = np.searchsorted(squares, xs, side="right")
-        small = np.where(idx > 0, small_cum[np.maximum(idx - 1, 0)], 0)
-        sqrt_x = np.sqrt(xs.astype(np.float64))
-        mid = idx * sqrt_x                      # pi(sqrt x) * sqrt x
-        top = math.e * xs / np.log(sqrt_x)
-        m1 = mid - small
-        m2 = top - mid
-        margins = np.minimum(m1, m2)
-        j = int(np.argmin(margins))
-        if margins[j] < worst.margin:
-            if m1[j] <= m2[j]:
-                worst = Witness(int(xs[j]), float(small[j]), float(mid[j]),
-                                float(m1[j]))
-            else:
-                worst = Witness(int(xs[j]), float(mid[j]), float(top[j]),
-                                float(m2[j]))
-            ok = worst.margin >= 0
-    return VerificationOutcome("small-part-bound", (x_min, x_max), ok, worst)
+    xs, idx = piece_ends(roots * roots, x_min, x_max)
+    small = step_values(np.cumsum(roots - 1), idx)
+    sqrt_x = np.sqrt(xs.astype(np.float64))
+    mid = idx * sqrt_x                      # pi(sqrt x) * sqrt x
+    top = math.e * xs / np.log(sqrt_x)
+    m1 = mid - small
+    m2 = top - mid
+    j = int(np.argmin(np.minimum(m1, m2)))
+    if m1[j] <= m2[j]:
+        worst = Witness(int(xs[j]), float(small[j]), float(mid[j]),
+                        float(m1[j]))
+    else:
+        worst = Witness(int(xs[j]), float(mid[j]), float(top[j]),
+                        float(m2[j]))
+    return VerificationOutcome("small-part-bound", (x_min, x_max),
+                               worst.margin >= 0, worst)
 
 
 def rough_tail_monotone_sweep(table: SieveTable,

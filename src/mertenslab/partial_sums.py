@@ -4,6 +4,12 @@ The three central sums (Lambda(m)/m, log p/p, 1/p) are evaluated with
 exactly rounded accumulation; residual reports compare them against
 their asymptotic laws at caller-chosen sample points. The limit
 constant is estimated by two independent routes that must agree.
+
+The exhaustive sweeps hold each sum, a step function, against a
+monotone curve. piece_ends lists where its constant pieces start and
+end; the gap on a piece is extreme at one of its ends, so those points
+stand for every integer in range. The bounds and density sweeps share
+the same primitive.
 """
 
 import math
@@ -23,36 +29,6 @@ MEISSEL_MERTENS_REFERENCE = 0.2614972128
 LOG2 = math.log(2.0)
 PI_SQUARED_OVER_6 = math.pi * math.pi / 6.0
 PI_FOURTH_OVER_90 = math.pi ** 4 / 90.0
-
-
-class SeriesKind(Enum):
-    LAMBDA_OVER_N = "lambda-over-n"
-    LOG_P_OVER_P = "log-p-over-p"
-    RECIPROCAL_PRIMES = "reciprocal-primes"
-    LOG_ZETA_TRUNCATION = "log-zeta-truncation"
-
-
-class Accumulation(Enum):
-    COMPENSATED = "compensated"
-
-
-@dataclass(frozen=True)
-class ArithSeries:
-    kind: SeriesKind
-    samples: list[tuple[int, float]]
-    accumulation: Accumulation = Accumulation.COMPENSATED
-
-    def __post_init__(self):
-        xs = [x for x, _ in self.samples]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise DomainError(
-                "series samples must be strictly increasing in x")
-        if self.kind in (SeriesKind.LOG_P_OVER_P,
-                         SeriesKind.RECIPROCAL_PRIMES):
-            vals = [v for _, v in self.samples]
-            if any(b < a for a, b in zip(vals, vals[1:])):
-                raise DomainError(f"{self.kind.value} samples must be "
-                                  "non-decreasing")
 
 
 class ResidualLaw(Enum):
@@ -124,19 +100,15 @@ def reciprocal_prime_sum(table: SieveTable, x: int) -> float:
     return fsum(1.0 / ps)
 
 
-def abel_summation(weights, f, f_prime, lower: float, upper: float,
-                   quadrature_steps: int = 1) -> float:
+def abel_summation(weights, f, f_prime, lower: float, upper: float) -> float:
     """Boundary term minus the Stieltjes integral of the partial sums.
 
     A(t) is the step function accumulating weights with index <= t. The
     integral of A f' is evaluated exactly piecewise (A is constant
     between jumps, so each piece is A * (f(b) - f(a)) via f itself).
-    f_prime and quadrature_steps are accepted for cross-checks against
-    quadrature (see abel_summation_quadrature); the returned value never
-    depends on them.
+    f_prime is accepted so callers can pass the same arguments to
+    abel_summation_quadrature; the returned value never depends on it.
     """
-    if quadrature_steps < 1:
-        raise DomainError("quadrature_steps must be >= 1")
     if not lower < upper:
         raise DomainError(f"need lower < upper, got [{lower}, {upper}]")
     idxs = [i for i, _ in weights]
@@ -311,20 +283,6 @@ def log_zeta_truncation(table: SieveTable, s: float, n_max: int) -> float:
     return fsum(logs / (np.log(mf) * np.power(mf, s)))
 
 
-def build_series(table: SieveTable, kind: SeriesKind, xs: list[int],
-                 s: float = 2.0) -> ArithSeries:
-    """Sample one of the tracked sums at increasing x."""
-    evaluators = {
-        SeriesKind.LAMBDA_OVER_N: lambda x: sum_lambda_over_n(table, x),
-        SeriesKind.LOG_P_OVER_P: lambda x: mertens_first_sum(table, x),
-        SeriesKind.RECIPROCAL_PRIMES: lambda x: reciprocal_prime_sum(table, x),
-        SeriesKind.LOG_ZETA_TRUNCATION:
-            lambda x: log_zeta_truncation(table, s, x),
-    }
-    fn = evaluators[kind]
-    return ArithSeries(kind, [(x, fn(x)) for x in xs])
-
-
 # ---------------------------------------------------------------------------
 # exhaustive sweeps against the O(1) ceilings
 
@@ -333,6 +291,30 @@ def _jump_cumulative(positions: np.ndarray, terms: np.ndarray):
     """Sort jump positions and return them with compensated prefix sums."""
     order = np.argsort(positions, kind="stable")
     return positions[order], compensated_cumsum(terms[order])
+
+
+def piece_ends(jumps: np.ndarray, lo: int, hi: int):
+    """Where the constant pieces of a step function on [lo, hi] start and end.
+
+    The step function jumps at each entry of the sorted array ``jumps``
+    and is constant from one jump up to the integer before the next. The
+    points are lo, hi, and q and q - 1 for every jump q in (lo, hi],
+    ascending; duplicates may occur. Against a monotone curve the gap on
+    a piece is extreme at one of the piece's two ends, so checking these
+    points covers every integer in [lo, hi]. Returns the points and the
+    number of jumps at or below each.
+    """
+    inner = jumps[np.searchsorted(jumps, lo, side="right"):
+                  np.searchsorted(jumps, hi, side="right")]
+    ns = np.sort(np.concatenate((np.array([lo, hi], dtype=np.int64),
+                                 inner, inner - 1)))
+    return ns, np.searchsorted(jumps, ns, side="right")
+
+
+def step_values(cum: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The step function after ``counts`` jumps: ``cum[count - 1]``, where
+    ``cum`` holds its prefix sums, or 0 before the first jump."""
+    return np.concatenate(([0], cum))[counts]
 
 
 def lambda_sum_bound_sweep(table: SieveTable, x_max: int,
@@ -359,21 +341,17 @@ def mertens_bound_sweep(table: SieveTable, n_max: int,
 
 
 def _step_vs_log_sweep(name: str, pos: np.ndarray, cum: np.ndarray,
-                       lo: int, hi: int, ceiling: float,
-                       chunk: int = 1 << 20) -> VerificationOutcome:
-    worst = Witness(input=lo, lhs=0.0, rhs=ceiling, margin=math.inf)
-    for start in range(lo, hi + 1, chunk):
-        stop = min(start + chunk, hi + 1)
-        ns = np.arange(start, stop, dtype=np.int64)
-        idx = np.searchsorted(pos, ns, side="right")
-        vals = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        dev = np.abs(vals - np.log(ns.astype(np.float64)))
-        j = int(np.argmax(dev))
-        margin = ceiling - float(dev[j])
-        if margin < worst.margin:
-            worst = Witness(input=int(ns[j]), lhs=float(dev[j]), rhs=ceiling,
-                            margin=margin)
-    return VerificationOutcome(name, (lo, hi), worst.margin >= 0, worst)
+                       lo: int, hi: int,
+                       ceiling: float) -> VerificationOutcome:
+    """Largest |step - log n| on [lo, hi]. The step is constant on each
+    piece and log n increases, so the deviation peaks at a piece end."""
+    ns, counts = piece_ends(pos, lo, hi)
+    dev = np.abs(step_values(cum, counts) - np.log(ns.astype(np.float64)))
+    j = int(np.argmax(dev))
+    margin = ceiling - float(dev[j])
+    worst = Witness(input=int(ns[j]), lhs=float(dev[j]), rhs=ceiling,
+                    margin=margin)
+    return VerificationOutcome(name, (lo, hi), margin >= 0, worst)
 
 
 def lambda_mertens_gap_sweep(table: SieveTable, x_max: int,

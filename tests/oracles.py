@@ -47,3 +47,74 @@ def mobius_brute(n: int) -> int:
     if any(e >= 2 for _, e in factors):
         return 0
     return -1 if len(factors) % 2 else 1
+
+
+def fsum_prefix(weights: dict[int, float], hi: int) -> list[float]:
+    """F(n) for n = 0..hi, where F(n) is the exactly rounded sum
+    (math.fsum) of the weights at positions <= n."""
+    values, terms, current = [], [], 0.0
+    for n in range(hi + 1):
+        if n in weights:
+            terms.append(weights[n])
+            current = math.fsum(terms)
+        values.append(current)
+    return values
+
+
+def bound_sweep_reference(check: str, hi: int, ceiling: float = 2.0,
+                          c1: float = 0.3, c2: float = 1.2,
+                          slack: float = 1e-9) -> tuple[bool, int]:
+    """(passed, witness input) of one exhaustive bound check, from its
+    margin at every integer of its range: the witness is the first
+    integer with the smallest margin."""
+    top = 2 * hi if check == "psi-dyadic" else hi
+    primes = trial_primes(top)
+    powers = {p ** k: math.log(p) for p in primes
+              for k in range(1, top.bit_length()) if p ** k <= top}
+    if check in ("lambda-sum-bound", "mertens1-bound"):
+        terms = ({m: lp / m for m, lp in powers.items()}
+                 if check == "lambda-sum-bound"
+                 else {p: math.log(p) / p for p in primes})
+        f = fsum_prefix(terms, hi)
+        lo, floor = (10 if check == "lambda-sum-bound" else 2), 0.0
+
+        def margin(n):
+            return ceiling - abs(f[n] - math.log(n))
+    elif check == "pi-upper":
+        pi = fsum_prefix(dict.fromkeys(primes, 1.0), hi)
+        lo, floor = 3, 0.0
+
+        def margin(n):
+            return math.e * n / math.log(n) - pi[n]
+    elif check == "reciprocal-lower":
+        s = fsum_prefix({p: 1.0 / p for p in primes}, hi)
+        lo, floor = 2, -slack
+        shift = math.log(math.pi * math.pi / 6.0)
+
+        def margin(n):
+            return s[n] - (math.log(math.log(n + 1.0)) - shift)
+    elif check == "psi-linear":
+        psi = fsum_prefix(powers, top)
+        lo, floor = 2, -slack
+
+        def margin(n):
+            return min(psi[n] - c1 * n, c2 * n - psi[n])
+    elif check == "psi-dyadic":
+        psi = fsum_prefix(powers, top)
+        lo, floor = 1, -slack
+
+        def margin(n):
+            return 2.0 * n * math.log(2.0) - (psi[2 * n] - psi[n])
+    elif check == "small-part-bound":
+        lo, floor = 10, 0.0
+        small_primes = [p for p in primes if p * p <= hi]
+
+        def margin(x):
+            roots = [p for p in small_primes if p * p <= x]
+            mid = len(roots) * math.sqrt(x)
+            top_cap = math.e * x / math.log(math.sqrt(x))
+            return min(mid - sum(p - 1 for p in roots), top_cap - mid)
+    else:
+        raise ValueError(f"no reference for {check}")
+    worst = min(range(lo, hi + 1), key=margin)
+    return margin(worst) >= floor, worst

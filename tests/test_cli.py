@@ -2,8 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from mertenslab.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -125,6 +128,15 @@ def test_verify_thread_count_invariant(capsys):
     code8, out8, _ = run_cli(capsys, *base, "--threads", "8")
     assert code1 == code8 == 0
     assert out1 == out8
+
+def test_verify_all_snapshot(capsys, tmp_path):
+    # reference output of the exhaustive per-integer sweeps
+    out_path = tmp_path / "verify.json"
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all",
+                           "--limit", "100000", "--out", str(out_path))
+    assert code == 0
+    assert out.encode() == (DATA / "verify_all_1e5.txt").read_bytes()
+    assert out_path.read_bytes() == (DATA / "verify_all_1e5.json").read_bytes()
 
 def test_constants(capsys):
     code, out, _ = run_cli(capsys, "constants", "--limit", "100000")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mertenslab import density as D
 from mertenslab.errors import DomainError
+from mertenslab.sieve import largest_prime_factor
 
 from oracles import trial_largest_factor
 
@@ -15,13 +16,15 @@ def census_brute(x: int) -> int:
                if trial_largest_factor(n) ** 2 > n)
 
 
-def test_has_large_prime_factor_boundaries(table_1e4):
-    assert D.has_large_prime_factor(table_1e4, 10)      # 5^2 > 10
-    assert not D.has_large_prime_factor(table_1e4, 4)   # 2^2 = 4, strict
-    assert not D.has_large_prime_factor(table_1e4, 9)   # 3^2 = 9, strict
+def test_largest_prime_factor_boundaries(table_1e4):
+    def large(n):
+        return largest_prime_factor(table_1e4, n) ** 2 > n
+
+    assert large(10)        # 5^2 > 10
+    assert not large(4)     # 2^2 = 4, strict
+    assert not large(9)     # 3^2 = 9, strict
     for n in range(2, 1500):
-        assert D.has_large_prime_factor(table_1e4, n) == \
-            (trial_largest_factor(n) ** 2 > n)
+        assert large(n) == (trial_largest_factor(n) ** 2 > n)
 
 
 def test_census_oracle_examples(table_1e4):

@@ -94,8 +94,6 @@ def test_abel_domain_errors():
         P.abel_summation([(3, 1.0), (2, 1.0)], f, None, 2, 4)
     with pytest.raises(DomainError):
         P.abel_summation([], f, None, 4, 4)
-    with pytest.raises(DomainError):
-        P.abel_summation([], f, None, 2, 4, quadrature_steps=0)
 
 
 def test_mertens2_residual_report(table_1e6):
@@ -160,13 +158,9 @@ def test_log_zeta_truncation(table_1e6):
         P.log_zeta_truncation(table_1e6, 1.0, 100)
 
 
-def test_build_series_monotone_kinds(table_1e4):
-    series = P.build_series(table_1e4, P.SeriesKind.RECIPROCAL_PRIMES,
-                            [10, 100, 1000])
-    vals = [v for _, v in series.samples]
+def test_reciprocal_prime_sum_monotone(table_1e4):
+    vals = [P.reciprocal_prime_sum(table_1e4, x) for x in (10, 100, 1000)]
     assert vals == sorted(vals)
-    with pytest.raises(DomainError):
-        P.build_series(table_1e4, P.SeriesKind.RECIPROCAL_PRIMES, [10, 10])
 
 
 def test_bound_sweeps(table_1e6):
