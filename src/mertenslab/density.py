@@ -1,11 +1,13 @@
 """Integers whose largest prime factor exceeds their square root.
 
-Two independent counting routes: a census by explicit factorization of
-every n <= x, and the pair count G(x) = sum over primes of
-min(p-1, floor(x/p)). The bijection between them is exact, so the
-suites compare integer against integer with zero tolerance. All
-square-root threshold comparisons are done in integer arithmetic
-(p*p vs n) so perfect squares can never be misclassified.
+Two independent counting routes: a census of the largest prime factor
+of every n <= x, read off each n's SPF chain, and the pair count
+G(x) = sum over primes of min(p-1, floor(x/p)). They share no code, and
+the bijection between them is exact, so the suites compare integer
+against integer with zero tolerance. All square-root threshold
+comparisons are done in integer arithmetic (p*p vs n, squared in int64)
+so perfect squares can never be misclassified. The census holds one
+SPF-dtype array of largest factors up to x (40 MB at 1e7).
 """
 
 import math
@@ -17,7 +19,7 @@ from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness
 from .partial_sums import (LOG2, ResidualLaw, ResidualReport, ResidualRow,
                            piece_ends, step_values)
-from .sieve import SieveTable, largest_factor_range
+from .sieve import LPF_CHUNK, SieveTable, largest_factor_range
 from .summation import fsum
 
 
@@ -43,17 +45,22 @@ class LargeFactorCensus:
                 f"split point {self.split_point} outside (sqrt x, 1 + x]")
 
 
-def census_oracle(table: SieveTable, x: int, block: int = 1 << 20) -> int:
-    """Exact count of n in [2, x] with a large prime factor, by
-    factorizing every n through the SPF table."""
+def _large_flags(lpf: np.ndarray, lo: int) -> np.ndarray:
+    """P(n)^2 > n for n = lo, lo + 1, ..., given their largest prime
+    factors; squared in int64, since a uint32 square wraps once
+    P(n) > 65535."""
+    p = lpf.astype(np.int64)
+    return p * p > np.arange(lo, lo + p.size, dtype=np.int64)
+
+
+def census_oracle(table: SieveTable, x: int) -> int:
+    """Exact count of n in [2, x] with a large prime factor, from the
+    largest prime factor of every n read off the SPF table; counted in
+    LPF_CHUNK slices so the int64 temporaries stay O(chunk)."""
     table.check_range(x)
-    count = 0
-    for lo in range(2, x + 1, block):
-        hi = min(lo + block, x + 1)
-        lpf = largest_factor_range(table, lo, hi)
-        ns = np.arange(lo, hi, dtype=np.int64)
-        count += int(np.count_nonzero(lpf * lpf > ns))
-    return count
+    lpf = largest_factor_range(table, 2, x + 1)
+    return sum(int(np.count_nonzero(_large_flags(lpf[i:i + LPF_CHUNK], 2 + i)))
+               for i in range(0, lpf.size, LPF_CHUNK))
 
 
 def g_count(table: SieveTable, x: int) -> int:
@@ -155,11 +162,7 @@ def bijection_sweep(table: SieveTable, x_max: int,
     table.check_range(x_max)
     g_all = g_count_all(table, x_max)
     member = np.zeros(x_max + 1, dtype=np.int64)
-    for lo in range(2, x_max + 1, 1 << 20):
-        hi = min(lo + (1 << 20), x_max + 1)
-        lpf = largest_factor_range(table, lo, hi)
-        ns = np.arange(lo, hi, dtype=np.int64)
-        member[lo:hi] = lpf * lpf > ns
+    member[2:] = _large_flags(largest_factor_range(table, 2, x_max + 1), 2)
     census_all = np.cumsum(member)
     bad = np.flatnonzero(g_all[2:] != census_all[2:])
     if bad.size:

@@ -3,7 +3,9 @@
 Every other module queries a SieveTable: the SPF array answers factor
 structure in O(log n) per integer, the prime list answers counting and
 enumeration. Construction is segmented so cache behaviour stays flat at
-large limits; the finished table is immutable.
+large limits; the finished table is immutable. Largest prime factors
+over a range come from one memoized pass over the SPF chains
+(largest_factor_range).
 """
 
 import math
@@ -14,11 +16,12 @@ import numpy as np
 from .errors import DomainError, ResourceError
 
 DEFAULT_SEGMENT = 1 << 18
+LPF_CHUNK = 1 << 18
 MAX_LIMIT = 1 << 40
 DEFAULT_MEMORY_BUDGET = 3 << 30
 
 CACHE_MAGIC = int.from_bytes(b"MRTNSLB1", "little")
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -155,30 +158,36 @@ def largest_prime_factor(table: SieveTable, n: int) -> int:
 
 
 def largest_factor_range(table: SieveTable, lo: int, hi: int) -> np.ndarray:
-    """Largest prime factor of every n in [lo, hi), vectorized.
+    """Largest prime factor P(n) of every n in [lo, hi), vectorized.
 
-    Peels one SPF layer per round over the still-composite entries; the
-    last prime written per slot is the largest because SPF division
-    produces factors in ascending order.
+    Reads the recurrence P(n) = max(spf(n), P(n // spf(n))), P(1) = 0,
+    off each integer's own SPF chain, filling P for all of [0, hi) in
+    ascending chunks of at most LPF_CHUNK. A chunk [start, stop) ends
+    by 2 * start, so every cofactor n // spf(n) <= n / 2 < start is
+    filled before its chunk runs. The result has the SPF dtype (uint32
+    below 2^32) and the memo costs one SPF-sized array up to hi, the
+    table's own footprint at hi = limit + 1.
     """
-    if lo < 2 or hi > table.limit + 1:
-        raise DomainError(f"range [{lo}, {hi}) outside table limit")
-    rem = np.arange(lo, hi, dtype=np.int64)
-    out = np.zeros(hi - lo, dtype=np.int64)
+    if not 2 <= lo <= hi <= table.limit + 1:
+        raise DomainError(
+            f"range [{lo}, {hi}) outside [2, {table.limit + 1})")
     spf = table.spf
-    active = np.flatnonzero(rem > 1)
-    while active.size:
-        p = spf[rem[active]].astype(np.int64)
-        out[active] = p
-        rem[active] //= p
-        active = active[rem[active] > 1]
-    return out
+    out = np.zeros(hi, dtype=spf.dtype)
+    start = 2
+    while start < hi:
+        stop = min(start + LPF_CHUNK, 2 * start, hi)
+        p = spf[start:stop]
+        cofactor = np.arange(start, stop, dtype=spf.dtype) // p
+        np.maximum(p, out[cofactor], out=out[start:stop])
+        start = stop
+    return out[lo:hi]
 
 
 def write_prime_cache(path, table: SieveTable) -> None:
-    """Binary prime-list cache: LE u64 header (magic, version, limit)."""
-    header = np.array([CACHE_MAGIC, CACHE_VERSION, table.limit],
-                      dtype="<u8")
+    """Binary prime-list cache: LE u64 header (magic, version, limit,
+    prime count), then the primes as LE i64."""
+    header = np.array([CACHE_MAGIC, CACHE_VERSION, table.limit,
+                       table.primes.size], dtype="<u8")
     with open(path, "wb") as fh:
         header.tofile(fh)
         table.primes.astype("<i8").tofile(fh)
@@ -187,20 +196,28 @@ def write_prime_cache(path, table: SieveTable) -> None:
 def read_prime_cache(path, expected_limit: int | None = None):
     """Load a prime cache, validating magic/version/limit before use.
 
-    Returns (limit, primes). A wrong magic or version, a truncated
-    payload, or a limit mismatch raises DomainError.
+    Returns (limit, primes). A wrong magic or version, a payload that is
+    not exactly the header's prime count of i64 records, or a limit
+    mismatch raises DomainError.
     """
     with open(path, "rb") as fh:
-        header = np.fromfile(fh, dtype="<u8", count=3)
-        if header.size != 3 or int(header[0]) != CACHE_MAGIC:
+        header = np.fromfile(fh, dtype="<u8", count=4)
+        if header.size < 2 or int(header[0]) != CACHE_MAGIC:
             raise DomainError(f"{path}: not a prime cache (bad magic)")
         if int(header[1]) != CACHE_VERSION:
             raise DomainError(f"{path}: unsupported cache version {header[1]}")
-        limit = int(header[2])
+        if header.size != 4:
+            raise DomainError(f"{path}: truncated cache header")
+        limit, count = int(header[2]), int(header[3])
         if expected_limit is not None and limit != expected_limit:
             raise DomainError(
                 f"{path}: cache limit {limit} != requested {expected_limit}")
-        primes = np.fromfile(fh, dtype="<i8")
+        payload = fh.read()
+    if len(payload) != 8 * count:
+        raise DomainError(
+            f"{path}: payload of {len(payload)} bytes, header says "
+            f"{count} primes")
+    primes = np.frombuffer(payload, dtype="<i8")
     if primes.size and (primes[-1] > limit or primes[0] != 2):
         raise DomainError(f"{path}: cache payload inconsistent with header")
     return limit, primes.astype(np.int64)

@@ -32,6 +32,15 @@ def trial_largest_factor(n: int) -> int:
     return trial_factorize(n)[-1][0]
 
 
+def census_brute(x_max: int) -> list[int]:
+    """counts[x] = #{2 <= n <= x : P(n)^2 > n} for x = 0..max(x_max, 1),
+    where P(n) is the largest prime factor by trial division."""
+    counts = [0, 0]
+    for n in range(2, x_max + 1):
+        counts.append(counts[-1] + (trial_largest_factor(n) ** 2 > n))
+    return counts
+
+
 def factorial_exponent(p: int, n: int) -> int:
     """Exponent of p in n! read off the exact big integer."""
     f = math.factorial(n)

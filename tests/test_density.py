@@ -8,12 +8,7 @@ from mertenslab import density as D
 from mertenslab.errors import DomainError
 from mertenslab.sieve import largest_prime_factor
 
-from oracles import trial_largest_factor
-
-
-def census_brute(x: int) -> int:
-    return sum(1 for n in range(2, x + 1)
-               if trial_largest_factor(n) ** 2 > n)
+from oracles import census_brute, trial_largest_factor
 
 
 def test_largest_prime_factor_boundaries(table_1e4):
@@ -31,7 +26,19 @@ def test_census_oracle_examples(table_1e4):
     assert D.census_oracle(table_1e4, 10) == 6   # 2,3,5,6,7,10
     assert D.census_oracle(table_1e4, 2) == 1
     assert D.census_oracle(table_1e4, 3) == 2
-    assert D.census_oracle(table_1e4, 1000) == census_brute(1000)
+    assert D.census_oracle(table_1e4, 1000) == census_brute(1000)[1000]
+
+
+def test_census_oracle_every_x_matches_brute(table_1e4):
+    expect = census_brute(3000)
+    for x in range(2, 3001):
+        assert D.census_oracle(table_1e4, x) == expect[x]
+
+
+def test_census_oracle_past_uint32_squares(table_1e6):
+    # P(n) > 65535 squares past 2^32: the census must not square in uint32
+    for x in (65535, 65536, 65537, 2 ** 18 - 1, 2 ** 18 + 1, 10 ** 6):
+        assert D.census_oracle(table_1e6, x) == D.g_count(table_1e6, x)
 
 
 def test_g_count_examples(table_1e4):
@@ -101,7 +108,7 @@ def test_density_series(table_1e6):
 
 def test_large_factor_census_invariants(table_1e4):
     census = D.large_factor_census(table_1e4, 1000)
-    assert census.g_value == census.oracle_count == census_brute(1000)
+    assert census.g_value == census.oracle_count == census_brute(1000)[1000]
     assert 0.0 <= census.density <= 1.0
     assert math.sqrt(1000) < census.split_point <= 1001
 

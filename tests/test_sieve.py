@@ -95,6 +95,21 @@ def test_largest_factor_range(table_1e4):
     got = largest_factor_range(table_1e4, 2, 2000)
     expect = [trial_largest_factor(n) for n in range(2, 2000)]
     assert got.tolist() == expect
+    assert got.dtype == table_1e4.spf.dtype == np.uint32
+
+
+def test_largest_factor_range_across_chunk_ends(table_1e6):
+    # windows straddling each end of the memo's chunks, one ending at
+    # limit + 1; checked against the scalar SPF peel
+    limit = table_1e6.limit
+    ends = [2 ** k for k in range(2, 19)]
+    ends += range(2 ** 18 + 2 ** 18, limit, 2 ** 18)
+    windows = [(max(2, e - 5), e + 5) for e in ends]
+    windows.append((limit - 40, limit + 1))
+    for lo, hi in windows:
+        got = largest_factor_range(table_1e6, lo, hi)
+        expect = [largest_prime_factor(table_1e6, n) for n in range(lo, hi)]
+        assert got.tolist() == expect
 
 
 def test_prime_count_consistency(table_1e4):
@@ -121,6 +136,10 @@ def test_domain_errors(table_1e4):
         nth_prime(table_1e4, table_1e4.primes.size + 1)
     with pytest.raises(DomainError):
         largest_prime_factor(table_1e4, 0)
+    for lo, hi in ((1, 10), (2, 10 ** 4 + 2), (10, 9)):
+        with pytest.raises(DomainError):
+            largest_factor_range(table_1e4, lo, hi)
+    assert largest_factor_range(table_1e4, 10, 10).size == 0
 
 
 def test_resource_error_reports_bytes():
@@ -158,3 +177,15 @@ def test_prime_cache_validation(tmp_path, table_1e4):
     truncated.write_bytes(path.read_bytes()[:8])
     with pytest.raises(DomainError):
         read_prime_cache(truncated)
+    small = tmp_path / "small.bin"
+    write_prime_cache(small, build_sieve(100))      # 25 primes
+    whole = small.read_bytes()
+    for cut in (3 * 8, 5):      # three whole records, part of one
+        truncated.write_bytes(whole[:-cut])
+        with pytest.raises(DomainError):
+            read_prime_cache(truncated)
+    v1 = tmp_path / "v1.bin"    # (magic, 1, limit), no prime count
+    v1.write_bytes(whole[:8] + (1).to_bytes(8, "little") + whole[16:24]
+                   + whole[32:])
+    with pytest.raises(DomainError):
+        read_prime_cache(v1)
