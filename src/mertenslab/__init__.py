@@ -8,8 +8,6 @@ tolerances where only asymptotics are claimed.
 """
 
 from .arith import (
-    CumulativeTable,
-    LambdaValue,
     chebyshev_psi,
     generalized_lambda,
     legendre_valuation,
@@ -64,8 +62,8 @@ from .sieve import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstantEstimate", "CumulativeTable", "DomainError", "EULER_GAMMA",
-    "Factorization", "LambdaValue", "LargeFactorCensus",
+    "ConstantEstimate", "DomainError", "EULER_GAMMA",
+    "Factorization", "LargeFactorCensus",
     "MEISSEL_MERTENS_REFERENCE", "ResidualReport", "ResourceError",
     "SieveTable", "VerificationOutcome", "Witness", "abel_summation",
     "build_sieve", "census_oracle", "chebyshev_psi", "density_series",

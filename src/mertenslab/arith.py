@@ -9,8 +9,6 @@ sweep variants the verification suites run over exhaustive ranges.
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -18,39 +16,6 @@ from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness
 from .sieve import Factorization, SieveTable, factorize
 from .summation import compensated_cumsum, fsum
-
-
-@dataclass(frozen=True)
-class LambdaValue:
-    """Value of the prime-power log weight at n.
-
-    base_prime is p when n = p^alpha (alpha >= 1) and None otherwise;
-    value is log(base_prime) or 0 correspondingly.
-    """
-
-    n: int
-    value: float
-    base_prime: int | None = None
-
-
-class TableKind(Enum):
-    PSI = "psi"
-    THETA = "theta"
-    PI_COUNT = "pi-count"
-    LOG_FACTORIAL = "log-factorial"
-
-
-class Arithmetic(Enum):
-    EXACT_INTEGER = "exact-integer"
-    COMPENSATED_FLOAT = "compensated-float"
-
-
-@dataclass(frozen=True)
-class CumulativeTable:
-    kind: TableKind
-    limit: int
-    values: np.ndarray          # index 0..limit, non-decreasing
-    arithmetic: Arithmetic
 
 
 def is_prime(n: int) -> bool:
@@ -65,18 +30,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def von_mangoldt(table: SieveTable, n: int) -> LambdaValue:
+def von_mangoldt(table: SieveTable, n: int) -> float:
     """log p when n = p^alpha, else 0; detection by repeated SPF division."""
     table.check_range(n, lo=1)
     if n == 1:
-        return LambdaValue(n=1, value=0.0)
+        return 0.0
     p = int(table.spf[n])
     m = n
     while m % p == 0:
         m //= p
-    if m == 1:
-        return LambdaValue(n=n, value=math.log(p), base_prime=p)
-    return LambdaValue(n=n, value=0.0)
+    return math.log(p) if m == 1 else 0.0
 
 
 def mobius(table: SieveTable, n: int) -> int:
@@ -231,7 +194,7 @@ def verify_selberg_identity(table: SieveTable, n: int,
     table.check_range(n, lo=1)
     fact = factorize(table, n) if n > 1 else Factorization(1, [])
     divs = divisors(fact)
-    lam = {d: von_mangoldt(table, d).value for d in divs}
+    lam = {d: von_mangoldt(table, d) for d in divs}
     log_n = math.log(n) if n > 1 else 0.0
     lhs = lam[n] * log_n + fsum(lam[d] * lam[n // d] for d in divs)
     rhs = generalized_lambda(table, n, 2) if n > 1 else 0.0
@@ -255,43 +218,40 @@ def lambda_values(table: SieveTable, x: int) -> np.ndarray:
     return arr
 
 
-def psi_table(table: SieveTable, x: int) -> CumulativeTable:
-    values = compensated_cumsum(lambda_values(table, x))
-    return CumulativeTable(TableKind.PSI, x, values,
-                           Arithmetic.COMPENSATED_FLOAT)
+def psi_table(table: SieveTable, x: int) -> np.ndarray:
+    """psi(n) for n = 0..x, one compensated prefix pass."""
+    return compensated_cumsum(lambda_values(table, x))
 
 
-def theta_table(table: SieveTable, x: int) -> CumulativeTable:
+def theta_table(table: SieveTable, x: int) -> np.ndarray:
+    """theta(n) for n = 0..x, one compensated prefix pass."""
     if not 0 <= x <= table.limit:
         raise DomainError(f"x={x} outside [0, {table.limit}]")
     arr = np.zeros(x + 1, dtype=np.float64)
     cut = int(np.searchsorted(table.primes, x, side="right"))
     ps = table.primes[:cut]
     arr[ps] = np.log(ps.astype(np.float64))
-    return CumulativeTable(TableKind.THETA, x, compensated_cumsum(arr),
-                           Arithmetic.COMPENSATED_FLOAT)
+    return compensated_cumsum(arr)
 
 
-def pi_count_table(table: SieveTable, x: int) -> CumulativeTable:
+def pi_count_table(table: SieveTable, x: int) -> np.ndarray:
+    """pi(n) for n = 0..x as an int64 array."""
     if not 0 <= x <= table.limit:
         raise DomainError(f"x={x} outside [0, {table.limit}]")
     arr = np.zeros(x + 1, dtype=np.int64)
     cut = int(np.searchsorted(table.primes, x, side="right"))
     arr[table.primes[:cut]] = 1
-    return CumulativeTable(TableKind.PI_COUNT, x, np.cumsum(arr),
-                           Arithmetic.EXACT_INTEGER)
+    return np.cumsum(arr)
 
 
-def log_factorial_table(n: int) -> CumulativeTable:
+def log_factorial_table(n: int) -> np.ndarray:
     """log(k!) for k = 0..n, one compensated prefix pass."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     terms = np.zeros(n + 1, dtype=np.float64)
     if n >= 2:
         terms[2:] = np.log(np.arange(2, n + 1, dtype=np.float64))
-    return CumulativeTable(TableKind.LOG_FACTORIAL, n,
-                           compensated_cumsum(terms),
-                           Arithmetic.COMPENSATED_FLOAT)
+    return compensated_cumsum(terms)
 
 
 def divisor_lambda_sums(table: SieveTable, x: int) -> np.ndarray:
@@ -365,7 +325,7 @@ def logfact_dual_route_sweep(table: SieveTable, n_max: int,
     """Direct log(n!) against the prime-power route for every n <= n_max."""
     if not 2 <= n_max <= table.limit:
         raise DomainError(f"n_max={n_max} outside [2, {table.limit}]")
-    direct = log_factorial_table(n_max).values
+    direct = log_factorial_table(n_max)
     via = compensated_cumsum(divisor_lambda_sums(table, n_max))
     rel = np.abs(direct[2:] - via[2:]) / direct[2:]
     worst = int(np.argmax(rel))
@@ -407,8 +367,7 @@ def generalized_lambda_k1_sweep(table: SieveTable, n_max: int,
     worst = Witness(input=1, lhs=0.0, rhs=abs_tol, margin=abs_tol)
     ok = True
     for n in range(1, n_max + 1):
-        diff = abs(generalized_lambda(table, n, 1)
-                   - von_mangoldt(table, n).value)
+        diff = abs(generalized_lambda(table, n, 1) - von_mangoldt(table, n))
         margin = abs_tol - diff
         if margin < worst.margin:
             worst = Witness(input=n, lhs=diff, rhs=abs_tol, margin=margin)
@@ -420,18 +379,30 @@ def generalized_lambda_k1_sweep(table: SieveTable, n_max: int,
 def psi_theta_dominance_sweep(table: SieveTable, x_max: int,
                               tol: float = 1e-12) -> VerificationOutcome:
     """psi >= theta everywhere, equality exactly while no higher prime
-    power has appeared (x < 4)."""
+    power has appeared (x < 4).
+
+    Both are constant between prime powers, so their values at the ends
+    of those pieces cover every integer in [2, x_max].
+    """
+    # deferred: partial_sums imports this module
+    from .partial_sums import _jump_cumulative, piece_ends, step_values
     if not 2 <= x_max <= table.limit:
         raise DomainError(f"x_max={x_max} outside [2, {table.limit}]")
-    psi = psi_table(table, x_max).values
-    theta = theta_table(table, x_max).values
+    ms, logs = prime_power_terms(table, x_max)
+    # prime power list is primes first, then k >= 2 powers
+    n_primes = int(np.searchsorted(table.primes, x_max, side="right"))
+    pos, psi_cum = _jump_cumulative(ms, logs)
+    ps, theta_cum = _jump_cumulative(ms[:n_primes], logs[:n_primes])
+    xs, counts = piece_ends(pos, 2, x_max)
+    psi = step_values(psi_cum, counts)
+    theta = step_values(theta_cum, np.searchsorted(ps, xs, side="right"))
     diff = psi - theta
-    worst = int(np.argmin(diff[2:])) + 2
-    ok = bool(np.all(diff[2:] >= -tol))
+    worst = int(np.argmin(diff))
+    ok = bool(np.all(diff >= -tol))
     if ok and x_max >= 4:
         # equality must break exactly at the first higher power, 4
-        ok = bool(np.all(diff[2:4] <= tol)) and bool(
-            np.all(diff[4:] > math.log(2) - 1e-9))
-    witness = Witness(input=worst, lhs=float(theta[worst]),
+        ok = bool(np.all(diff[xs < 4] <= tol)) and bool(
+            np.all(diff[xs >= 4] > math.log(2) - 1e-9))
+    witness = Witness(input=int(xs[worst]), lhs=float(theta[worst]),
                       rhs=float(psi[worst]), margin=float(diff[worst]))
     return VerificationOutcome("psi-theta-dominance", (2, x_max), ok, witness)

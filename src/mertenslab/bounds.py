@@ -5,22 +5,23 @@ can never fabricate a counterexample of a proven theorem; where exact
 integer arithmetic is feasible (small parameters) a zero-tolerance
 big-integer pass runs alongside. Failures are reported, never raised.
 
-pi(n), psi(x) and the sum of 1/p are step functions checked against
-monotone curves, so those checks evaluate only where a constant piece
-starts or ends (partial_sums.piece_ends), which covers every integer in
-range. psi there is the compensated prefix sum of the sorted prime-power
-terms, within 16 ulps of the exact value at 1e7.
+pi(n), psi(x), theta(x) and the sum of 1/p are step functions checked
+against monotone curves, so those checks evaluate only where a constant
+piece starts or ends (partial_sums.piece_ends), which covers every
+integer in range. psi there is the compensated prefix sum of the sorted
+prime-power terms, within 16 ulps of the exact value at 1e7; theta is
+the same sum over the primes.
 """
 
 import math
 
 import numpy as np
 
-from .arith import log_factorial_table, prime_power_terms, theta_table
+from .arith import log_factorial_table, prime_power_terms
 from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness
-from .partial_sums import (_jump_cumulative, mertens_bound_sweep, piece_ends,
-                           step_values)
+from .partial_sums import (_jump_cumulative, _prime_prefix,
+                           mertens_bound_sweep, piece_ends, step_values)
 from .sieve import SieveTable
 from .summation import compensated_cumsum
 
@@ -46,7 +47,7 @@ def check_binomial_bounds(n_max: int) -> VerificationOutcome:
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    lf = log_factorial_table(2 * n_max).values
+    lf = log_factorial_table(2 * n_max)
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     logc = lf[2 * ns] - 2.0 * lf[ns]
     cap = ns * LOG4
@@ -106,13 +107,19 @@ def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
 
 def check_primorial_bound(table: SieveTable,
                           k_max: int) -> VerificationOutcome:
-    """theta(k) <= k log 4 for k = 1..k_max; exact product for k <= 60."""
+    """theta(k) <= k log 4 for k = 1..k_max; exact product for k <= 60.
+
+    theta is constant between primes while the cap grows, so each piece
+    is tightest at its left end.
+    """
     if not 1 <= k_max <= table.limit:
         raise DomainError(f"k_max={k_max} outside [1, {table.limit}]")
-    theta = theta_table(table, k_max).values
-    ks = np.arange(1, k_max + 1, dtype=np.int64)
+    ps = _prime_prefix(table, k_max)
+    theta = compensated_cumsum(np.log(ps.astype(np.float64)))
+    ks, counts = piece_ends(ps, 1, k_max)
+    vals = step_values(theta, counts)
     cap = ks * LOG4
-    worst = _worst(cap - theta[ks], ks, theta[ks], cap)
+    worst = _worst(cap - vals, ks, vals, cap)
     ok = worst.margin >= -SLACK
     primorial = 1
     for k in range(1, min(60, k_max) + 1):
@@ -128,12 +135,19 @@ def check_primorial_bound(table: SieveTable,
 def check_interval_primorial(table: SieveTable,
                              m_max: int) -> VerificationOutcome:
     """Product of primes in (m+1, 2m+1] is <= 4^m, and for m <= 30 it
-    divides C(2m+1, m+1) exactly."""
+    divides C(2m+1, m+1) exactly.
+
+    For each prime p, theta(2m+1) moves at m = (p-1)/2 and theta(m+1) at
+    m = p-1; between those points the gain is constant and the cap grows.
+    """
     if not 1 <= 2 * m_max + 1 <= table.limit:
         raise DomainError(f"2*m_max+1={2 * m_max + 1} exceeds {table.limit}")
-    theta = theta_table(table, 2 * m_max + 1).values
-    ms = np.arange(1, m_max + 1, dtype=np.int64)
-    gain = theta[2 * ms + 1] - theta[ms + 1]
+    ps = _prime_prefix(table, 2 * m_max + 1)
+    theta = compensated_cumsum(np.log(ps.astype(np.float64)))
+    moves = np.sort(np.concatenate(((ps - 1) // 2, ps - 1)))
+    ms, _ = piece_ends(moves, 1, m_max)
+    gain = (step_values(theta, np.searchsorted(ps, 2 * ms + 1, side="right"))
+            - step_values(theta, np.searchsorted(ps, ms + 1, side="right")))
     cap = ms * LOG4
     worst = _worst(cap - gain, ms, gain, cap)
     ok = worst.margin >= -SLACK
@@ -154,7 +168,7 @@ def check_stirling_lower(m_max: int) -> VerificationOutcome:
     """log(m!) > m(log m - 1), strictly, for m = 1..m_max."""
     if m_max < 1:
         raise DomainError(f"m_max must be >= 1, got {m_max}")
-    lf = log_factorial_table(m_max).values
+    lf = log_factorial_table(m_max)
     ms = np.arange(1, m_max + 1, dtype=np.int64)
     mf = ms.astype(np.float64)
     rhs = mf * (np.log(mf) - 1.0)
@@ -202,8 +216,7 @@ def check_reciprocal_lower(table: SieveTable,
     """
     if not 2 <= n_max <= table.limit:
         raise DomainError(f"n_max={n_max} outside [2, {table.limit}]")
-    cut = int(np.searchsorted(table.primes, n_max, side="right"))
-    ps = table.primes[:cut]
+    ps = _prime_prefix(table, n_max)
     cum = compensated_cumsum(1.0 / ps.astype(np.float64))
     shift = math.log(math.pi * math.pi / 6.0)
     ns, counts = piece_ends(ps, 2, n_max)

@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import arith, density, partial_sums, reports, suites
 from .errors import DomainError, ResourceError
@@ -22,24 +21,6 @@ CACHE_DIR_ENV = "MERTENSLAB_CACHE_DIR"
 
 TABLE_FUNCTIONS = ("lambda-sum", "mertens1", "recip-primes", "psi", "theta",
                    "pi", "g-count", "density", "rough-tail", "logzeta")
-
-
-@dataclass
-class RunConfig:
-    limit: int
-    segment_size: int = DEFAULT_SEGMENT
-    output_format: str = "csv"
-    output_path: str | None = None
-    suite_selection: list[str] = field(default_factory=list)
-    tolerance_overrides: dict[str, float] = field(default_factory=dict)
-    thread_count: int = 1
-
-    def __post_init__(self):
-        if self.limit < 2:
-            raise DomainError(f"limit must be >= 2, got {self.limit}")
-        if self.thread_count < 1:
-            raise DomainError(
-                f"thread count must be >= 1, got {self.thread_count}")
 
 
 def resolve_cache_path(path: str) -> str:
@@ -115,15 +96,14 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_sieve(args) -> int:
-    config = RunConfig(limit=args.limit, segment_size=args.segment)
     started = time.perf_counter()
-    table = build_sieve(config.limit, config.segment_size)
+    table = build_sieve(args.limit, args.segment)
     elapsed = time.perf_counter() - started
     count = int(table.primes.size)
     print(f"{count} prime{'' if count == 1 else 's'}")
-    print(f"built limit={config.limit} segment={config.segment_size} "
+    print(f"built limit={args.limit} segment={args.segment} "
           f"in {elapsed:.3f}s "
-          f"({config.limit / max(elapsed, 1e-9) / 1e6:.1f} M/s)")
+          f"({args.limit / max(elapsed, 1e-9) / 1e6:.1f} M/s)")
     if args.cache:
         path = resolve_cache_path(args.cache)
         write_prime_cache(path, table)
@@ -134,9 +114,7 @@ def cmd_sieve(args) -> int:
 def cmd_table(args) -> int:
     xs = _parse_xs(args.xs)
     limit = args.limit if args.limit is not None else xs[-1]
-    config = RunConfig(limit=limit, output_format=args.format,
-                       output_path=args.out)
-    table = build_sieve(config.limit)
+    table = build_sieve(limit)
     rows = []
     for x in xs:
         observed, predicted = _evaluate_table_cell(table, args.func, x,
@@ -145,41 +123,34 @@ def cmd_table(args) -> int:
         rows.append(reports.ReportRow(x=x, columns={
             "observed": observed, "predicted": predicted,
             "residual": residual}))
-    if config.output_format == "csv":
+    if args.format == "csv":
         text = reports.rows_to_csv(rows)
     else:
         payload_config = {
             "command": "table", "function": args.func, "xs": xs,
-            "s": args.s, "limit": config.limit,
-            "output_format": config.output_format,
+            "s": args.s, "limit": limit,
+            "output_format": args.format,
         }
         text = reports.report_json(payload_config, rows, [])
-    _emit(text, config.output_path)
+    _emit(text, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
     overrides = dict(args.tol or [])
-    config = RunConfig(limit=args.limit,
-                       suite_selection=list(args.suite),
-                       tolerance_overrides=overrides,
-                       thread_count=args.threads,
-                       output_path=args.out)
-    table = build_sieve(config.limit)
-    checks = suites.build_checks(table, config.suite_selection,
-                                 config.tolerance_overrides)
-    outcomes = suites.run_checks(checks, config.thread_count)
+    table = build_sieve(args.limit)
+    checks = suites.build_checks(table, args.suite, overrides)
+    outcomes = suites.run_checks(checks, args.threads)
     lines = "".join(o.describe() + "\n" for o in outcomes)
     sys.stdout.write(lines)
-    if config.output_path:
+    if args.out:
         payload_config = {
-            "command": "verify", "limit": config.limit,
-            "suites": config.suite_selection,
-            "tolerance_overrides": config.tolerance_overrides,
-            "thread_count": config.thread_count,
+            "command": "verify", "limit": args.limit,
+            "suites": args.suite,
+            "tolerance_overrides": overrides,
+            "thread_count": args.threads,
         }
-        _emit(reports.report_json(payload_config, [], outcomes),
-              config.output_path)
+        _emit(reports.report_json(payload_config, [], outcomes), args.out)
     return 0 if all(o.passed for o in outcomes) else 1
 
 
@@ -188,13 +159,12 @@ def cmd_constants(args) -> int:
         raise DomainError(
             f"constants needs limit >= 1e5 for a meaningful tail, "
             f"got {args.limit}")
-    config = RunConfig(limit=args.limit)
-    table = build_sieve(config.limit)
+    table = build_sieve(args.limit)
     series = partial_sums.meissel_mertens_from_series(
-        table, min(config.limit, 10 ** 7))
-    tail = partial_sums.meissel_mertens_from_tail(table, config.limit)
+        table, min(args.limit, 10 ** 7))
+    tail = partial_sums.meissel_mertens_from_tail(table, args.limit)
     for est in (series, tail):
-        print(f"constant={est.name.value} route={est.route} "
+        print(f"constant={est.name} route={est.route} "
               f"value={est.value!r} error_bound={est.error_bound!r}")
     delta = abs(series.value - tail.value)
     combined = series.error_bound + tail.error_bound

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness
-from .partial_sums import (LOG2, ResidualLaw, ResidualReport, ResidualRow,
-                           piece_ends, step_values)
+from .partial_sums import (LOG2, ResidualReport, ResidualRow, piece_ends,
+                           step_values)
 from .sieve import LPF_CHUNK, SieveTable, largest_factor_range
 from .summation import fsum
 
@@ -135,7 +135,7 @@ def density_series(table: SieveTable, xs: list[int],
         rows.append(ResidualRow(x, observed, LOG2, observed - LOG2,
                                 c / math.log(x)))
     passed = all(abs(r.residual) <= r.tolerance for r in rows)
-    return ResidualReport(ResidualLaw.DENSITY_LOG2, rows, passed)
+    return ResidualReport(rows, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ the same primitive.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -31,13 +30,6 @@ PI_SQUARED_OVER_6 = math.pi * math.pi / 6.0
 PI_FOURTH_OVER_90 = math.pi ** 4 / 90.0
 
 
-class ResidualLaw(Enum):
-    LAMBDA_LOG_X = "lambda-log-x"
-    MERTENS1_LOG_X = "mertens1-log-x"
-    MERTENS2_LOGLOG_X = "mertens2-loglog-x"
-    DENSITY_LOG2 = "density-log2"
-
-
 @dataclass(frozen=True)
 class ResidualRow:
     x: int
@@ -49,21 +41,13 @@ class ResidualRow:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    law: ResidualLaw
     rows: list[ResidualRow]
     passed: bool
 
 
-class ConstantName(Enum):
-    MEISSEL_MERTENS = "meissel-mertens"
-    EULER_GAMMA = "euler-gamma"
-    LOG2 = "log-2"
-    PI_SQUARED_OVER_6 = "pi-squared-over-6"
-
-
 @dataclass(frozen=True)
 class ConstantEstimate:
-    name: ConstantName
+    name: str
     value: float
     route: str
     error_bound: float
@@ -100,17 +84,12 @@ def reciprocal_prime_sum(table: SieveTable, x: int) -> float:
     return fsum(1.0 / ps)
 
 
-def abel_summation(weights, f, f_prime, lower: float, upper: float) -> float:
-    """Boundary term minus the Stieltjes integral of the partial sums.
-
-    A(t) is the step function accumulating weights with index <= t. The
-    integral of A f' is evaluated exactly piecewise (A is constant
-    between jumps, so each piece is A * (f(b) - f(a)) via f itself).
-    f_prime is accepted so callers can pass the same arguments to
-    abel_summation_quadrature; the returned value never depends on it.
-    """
+def _abel_pieces(weights, f, lower: float, upper: float, integral) -> float:
+    """A(upper) f(upper) minus A * integral(a, b) summed over the constant
+    pieces [a, b] of the step function A on [lower, upper]."""
     if not lower < upper:
         raise DomainError(f"need lower < upper, got [{lower}, {upper}]")
+    weights = list(weights)     # read twice: an iterator would run dry
     idxs = [i for i, _ in weights]
     if any(b < a for a, b in zip(idxs, idxs[1:])):
         raise DomainError("weights must be sorted by index")
@@ -127,14 +106,26 @@ def abel_summation(weights, f, f_prime, lower: float, upper: float) -> float:
     t_cur = lower
     a_cur = run.value
     for b in sorted(jumps):
-        pieces.append(a_cur * (f(b) - f(t_cur)))
+        pieces.append(a_cur * integral(t_cur, b))
         for a in jumps[b]:
             run.add(a)
         a_cur = run.value
         t_cur = b
     if t_cur < upper:
-        pieces.append(a_cur * (f(upper) - f(t_cur)))
+        pieces.append(a_cur * integral(t_cur, upper))
     return fsum([a_cur * f(upper)] + [-piece for piece in pieces])
+
+
+def abel_summation(weights, f, f_prime, lower: float, upper: float) -> float:
+    """Boundary term minus the Stieltjes integral of the partial sums.
+
+    A(t) is the step function accumulating weights with index <= t. The
+    integral of A f' is evaluated exactly piecewise (A is constant
+    between jumps, so each piece is A * (f(b) - f(a)) via f itself).
+    f_prime is accepted so callers can pass the same arguments to
+    abel_summation_quadrature; the returned value never depends on it.
+    """
+    return _abel_pieces(weights, f, lower, upper, lambda a, b: f(b) - f(a))
 
 
 def abel_summation_quadrature(weights, f, f_prime, lower: float, upper: float,
@@ -143,15 +134,6 @@ def abel_summation_quadrature(weights, f, f_prime, lower: float, upper: float,
     Simpson per constant piece. Cross-check only: quadrature-limited."""
     if quadrature_steps < 1:
         raise DomainError("quadrature_steps must be >= 1")
-    if not lower < upper:
-        raise DomainError(f"need lower < upper, got [{lower}, {upper}]")
-    run = RunningSum()
-    jumps: dict[int, list[float]] = {}
-    for i, a in weights:
-        if i <= lower:
-            run.add(a)
-        elif i <= upper:
-            jumps.setdefault(i, []).append(a)
 
     def simpson(a: float, b: float) -> float:
         n = 2 * quadrature_steps
@@ -162,18 +144,7 @@ def abel_summation_quadrature(weights, f, f_prime, lower: float, upper: float,
         coef[2:-1:2] = 2.0
         return (b - a) / (3 * n) * float(coef @ ys)
 
-    pieces: list[float] = []
-    t_cur = lower
-    a_cur = run.value
-    for b in sorted(jumps):
-        pieces.append(a_cur * simpson(t_cur, b))
-        for a in jumps[b]:
-            run.add(a)
-        a_cur = run.value
-        t_cur = b
-    if t_cur < upper:
-        pieces.append(a_cur * simpson(t_cur, upper))
-    return fsum([a_cur * f(upper)] + [-piece for piece in pieces])
+    return _abel_pieces(weights, f, lower, upper, simpson)
 
 
 def _decade_monotone(rows: list[ResidualRow]) -> bool:
@@ -195,14 +166,13 @@ def _validate_xs(table: SieveTable, xs: list[int], lo: int) -> None:
         raise DomainError(f"xs must lie in [{lo}, {table.limit}]")
 
 
-def _log_x_report(law: ResidualLaw, evaluate, xs: list[int],
-                  ceiling: float) -> ResidualReport:
+def _log_x_report(evaluate, xs: list[int], ceiling: float) -> ResidualReport:
     rows = []
     for x in xs:
         observed = evaluate(x)
         rows.append(ResidualRow(x, observed, math.log(x),
                                 observed - math.log(x), ceiling))
-    return ResidualReport(law, rows,
+    return ResidualReport(rows,
                           all(abs(r.residual) <= r.tolerance for r in rows))
 
 
@@ -210,16 +180,14 @@ def lambda_sum_residual_report(table: SieveTable, xs: list[int],
                                ceiling: float = 2.0) -> ResidualReport:
     """Residuals of the Lambda(m)/m sum against log x, O(1) ceiling."""
     _validate_xs(table, xs, 2)
-    return _log_x_report(ResidualLaw.LAMBDA_LOG_X,
-                         lambda x: sum_lambda_over_n(table, x), xs, ceiling)
+    return _log_x_report(lambda x: sum_lambda_over_n(table, x), xs, ceiling)
 
 
 def mertens1_residual_report(table: SieveTable, xs: list[int],
                              ceiling: float = 2.0) -> ResidualReport:
     """Residuals of the (log p)/p sum against log x, O(1) ceiling."""
     _validate_xs(table, xs, 2)
-    return _log_x_report(ResidualLaw.MERTENS1_LOG_X,
-                         lambda x: mertens_first_sum(table, x), xs, ceiling)
+    return _log_x_report(lambda x: mertens_first_sum(table, x), xs, ceiling)
 
 
 def mertens2_residual_report(table: SieveTable, xs: list[int],
@@ -239,7 +207,7 @@ def mertens2_residual_report(table: SieveTable, xs: list[int],
                                 c / math.log(x)))
     passed = (all(abs(r.residual) <= r.tolerance for r in rows)
               and _decade_monotone(rows))
-    return ResidualReport(ResidualLaw.MERTENS2_LOGLOG_X, rows, passed)
+    return ResidualReport(rows, passed)
 
 
 def meissel_mertens_from_tail(table: SieveTable, x: int,
@@ -249,7 +217,7 @@ def meissel_mertens_from_tail(table: SieveTable, x: int,
         raise DomainError(f"tail estimate needs x >= 100, got {x}")
     table.check_range(x)
     value = reciprocal_prime_sum(table, x) - math.log(math.log(x))
-    return ConstantEstimate(ConstantName.MEISSEL_MERTENS, value,
+    return ConstantEstimate("meissel-mertens", value,
                             route="tail-limit", error_bound=c / math.log(x))
 
 
@@ -268,7 +236,7 @@ def meissel_mertens_from_series(
     ps = _prime_prefix(table, prime_limit).astype(np.float64)
     terms = np.log1p(-1.0 / ps) + 1.0 / ps
     value = fsum([gamma] + terms.tolist())
-    return ConstantEstimate(ConstantName.MEISSEL_MERTENS, value,
+    return ConstantEstimate("meissel-mertens", value,
                             route="gamma-plus-prime-series",
                             error_bound=1.0 / prime_limit)
 

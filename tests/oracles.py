@@ -72,14 +72,18 @@ def fsum_prefix(weights: dict[int, float], hi: int) -> list[float]:
 
 def bound_sweep_reference(check: str, hi: int, ceiling: float = 2.0,
                           c1: float = 0.3, c2: float = 1.2,
+                          log4: float = math.log(4.0),
                           slack: float = 1e-9) -> tuple[bool, int]:
     """(passed, witness input) of one exhaustive bound check, from its
     margin at every integer of its range: the witness is the first
     integer with the smallest margin."""
-    top = 2 * hi if check == "psi-dyadic" else hi
+    top = {"psi-dyadic": 2 * hi,
+           "interval-primorial": 2 * hi + 1}.get(check, hi)
     primes = trial_primes(top)
     powers = {p ** k: math.log(p) for p in primes
               for k in range(1, top.bit_length()) if p ** k <= top}
+    theta = fsum_prefix({p: math.log(p) for p in primes}, top)
+    holds = True
     if check in ("lambda-sum-bound", "mertens1-bound"):
         terms = ({m: lp / m for m, lp in powers.items()}
                  if check == "lambda-sum-bound"
@@ -123,7 +127,27 @@ def bound_sweep_reference(check: str, hi: int, ceiling: float = 2.0,
             mid = len(roots) * math.sqrt(x)
             top_cap = math.e * x / math.log(math.sqrt(x))
             return min(mid - sum(p - 1 for p in roots), top_cap - mid)
+    elif check == "primorial-bound":
+        lo, floor = 1, -slack
+
+        def margin(k):
+            return k * log4 - theta[k]
+    elif check == "interval-primorial":
+        lo, floor = 1, -slack
+
+        def margin(m):
+            return m * log4 - (theta[2 * m + 1] - theta[m + 1])
+    elif check == "psi-theta-dominance":
+        psi = fsum_prefix(powers, top)
+        lo, floor = 2, -1e-12
+
+        def margin(x):
+            return psi[x] - theta[x]
+        # equal below the first higher prime power, 4; log 2 apart after
+        holds = all(margin(x) <= 1e-12 if x < 4
+                    else margin(x) > math.log(2) - 1e-9
+                    for x in range(lo, hi + 1))
     else:
         raise ValueError(f"no reference for {check}")
     worst = min(range(lo, hi + 1), key=margin)
-    return margin(worst) >= floor, worst
+    return margin(worst) >= floor and holds, worst

@@ -13,24 +13,19 @@ from oracles import factorial_exponent, mobius_brute, trial_factorize
 
 
 def test_von_mangoldt_examples(table_1e4):
-    lv = A.von_mangoldt(table_1e4, 8)
-    assert lv.value == pytest.approx(math.log(2), rel=1e-15)
-    assert lv.base_prime == 2
-    assert A.von_mangoldt(table_1e4, 12).value == 0.0
-    assert A.von_mangoldt(table_1e4, 12).base_prime is None
-    assert A.von_mangoldt(table_1e4, 1).value == 0.0
+    assert A.von_mangoldt(table_1e4, 8) == math.log(2)
+    assert A.von_mangoldt(table_1e4, 12) == 0.0
+    assert A.von_mangoldt(table_1e4, 1) == 0.0
 
 
 def test_von_mangoldt_prime_power_structure(table_1e4):
     for n in range(1, 3000):
-        lv = A.von_mangoldt(table_1e4, n)
         factors = trial_factorize(n)
         if len(factors) == 1:
             p, _ = factors[0]
-            assert lv.base_prime == p
-            assert lv.value == pytest.approx(math.log(p), rel=1e-15)
+            assert A.von_mangoldt(table_1e4, n) == math.log(p)
         else:
-            assert lv.base_prime is None and lv.value == 0.0
+            assert A.von_mangoldt(table_1e4, n) == 0.0
 
 
 def test_mobius(table_1e4):
@@ -176,10 +171,10 @@ def test_domain_guards(table_1e4):
 
 
 def test_cumulative_tables_match_point_ops(table_1e4):
-    psi = A.psi_table(table_1e4, 1000).values
-    theta = A.theta_table(table_1e4, 1000).values
-    pi = A.pi_count_table(table_1e4, 1000).values
-    lf = A.log_factorial_table(1000).values
+    psi = A.psi_table(table_1e4, 1000)
+    theta = A.theta_table(table_1e4, 1000)
+    pi = A.pi_count_table(table_1e4, 1000)
+    lf = A.log_factorial_table(1000)
     for x in (0, 1, 2, 3, 10, 97, 1000):
         assert psi[x] == pytest.approx(A.chebyshev_psi(table_1e4, x),
                                        rel=1e-13, abs=1e-13)

@@ -122,6 +122,12 @@ def test_verify_unknown_tolerance(capsys):
     assert code == 2
     assert "unknown tolerance" in err
 
+def test_verify_zero_threads(capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "bounds",
+                           "--limit", "1000", "--threads", "0")
+    assert code == 2
+    assert "thread" in err
+
 def test_verify_thread_count_invariant(capsys):
     base = ("verify", "--suite", "all", "--limit", "20000")
     code1, out1, _ = run_cli(capsys, *base, "--threads", "1")

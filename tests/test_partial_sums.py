@@ -44,6 +44,7 @@ def test_abel_single_step_telescopes():
     fp = lambda t: -1.0 / (t * math.log(t) ** 2)
     got = P.abel_summation([(2, 1.0)], f, fp, 2, 4)
     assert got == pytest.approx(1.0 / LOG2, rel=1e-15)
+    assert P.abel_summation(iter([(2, 1.0)]), f, fp, 2, 4) == got
 
 
 def test_abel_empty_weights():
@@ -92,6 +93,8 @@ def test_abel_domain_errors():
     f = lambda t: t
     with pytest.raises(DomainError):
         P.abel_summation([(3, 1.0), (2, 1.0)], f, None, 2, 4)
+    with pytest.raises(DomainError):
+        P.abel_summation_quadrature([(3, 1.0), (2, 1.0)], f, f, 2, 4)
     with pytest.raises(DomainError):
         P.abel_summation([], f, None, 4, 4)
 
@@ -178,9 +181,9 @@ def test_bound_sweeps(table_1e6):
 
 def test_constant_estimate_validation():
     with pytest.raises(DomainError):
-        P.ConstantEstimate(P.ConstantName.LOG2, math.nan, "x", 0.0)
+        P.ConstantEstimate("log-2", math.nan, "x", 0.0)
     with pytest.raises(DomainError):
-        P.ConstantEstimate(P.ConstantName.LOG2, 0.7, "x", -1.0)
+        P.ConstantEstimate("log-2", 0.7, "x", -1.0)
 
 
 def test_lambda_sum_and_mertens1_reports(table_1e6):

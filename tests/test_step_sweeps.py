@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mertenslab import arith as A
 from mertenslab import bounds as B
 from mertenslab import density as D
 from mertenslab import partial_sums as P
@@ -33,6 +34,15 @@ CHECKS = [
      lambda t, hi: B.check_psi_linear(t, hi, 0.1, 0.9)),
     ("psi-dyadic", {}, lambda t, hi: B.check_psi_dyadic(t, hi)),
     ("small-part-bound", {}, lambda t, hi: D.small_part_bound_sweep(t, hi)),
+    ("primorial-bound", {}, lambda t, hi: B.check_primorial_bound(t, hi)),
+    ("primorial-bound", {"log4": 0.9},
+     lambda t, hi: B.check_primorial_bound(t, hi)),
+    ("interval-primorial", {},
+     lambda t, hi: B.check_interval_primorial(t, hi)),
+    ("interval-primorial", {"log4": 0.9},
+     lambda t, hi: B.check_interval_primorial(t, hi)),
+    ("psi-theta-dominance", {},
+     lambda t, hi: A.psi_theta_dominance_sweep(t, hi)),
 ]
 
 
@@ -40,9 +50,12 @@ CHECKS = [
 @pytest.mark.parametrize("check,params,run", CHECKS,
                          ids=[c + "".join(f"-{k}={v}" for k, v in p.items())
                               for c, p, _ in CHECKS])
-def test_sweep_matches_brute_force(table_1e5, hi, check, params, run):
+def test_sweep_matches_brute_force(table_1e5, monkeypatch, hi, check, params,
+                                   run):
     if check == "psi-dyadic":
         hi //= 2                # psi(2n) must stay within 2e4
+    if "log4" in params:        # a lower cap moves the witness inside
+        monkeypatch.setattr(B, "LOG4", params["log4"])
     out = run(table_1e5, hi)
     assert (out.passed, out.worst_witness.input) == \
         bound_sweep_reference(check, hi, **params)
