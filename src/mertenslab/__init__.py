@@ -21,13 +21,11 @@ from .arith import (
     von_mangoldt,
 )
 from .density import (
-    LargeFactorCensus,
     census_oracle,
     density_series,
     split_point,
     g_count,
     g_count_split,
-    large_factor_census,
     rough_tail_sum,
 )
 from .errors import DomainError, ResourceError
@@ -38,10 +36,8 @@ from .partial_sums import (
     ConstantEstimate,
     ResidualReport,
     abel_summation,
-    lambda_sum_residual_report,
     log_zeta_truncation,
     meissel_mertens_from_series,
-    mertens1_residual_report,
     meissel_mertens_from_tail,
     mertens_first_sum,
     reciprocal_prime_sum,
@@ -63,16 +59,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConstantEstimate", "DomainError", "EULER_GAMMA",
-    "Factorization", "LargeFactorCensus",
+    "Factorization",
     "MEISSEL_MERTENS_REFERENCE", "ResidualReport", "ResourceError",
     "SieveTable", "VerificationOutcome", "Witness", "abel_summation",
     "build_sieve", "census_oracle", "chebyshev_psi", "density_series",
     "factorize", "g_count", "g_count_split", "generalized_lambda",
-    "lambda_sum_residual_report",
-    "large_factor_census", "largest_prime_factor",
+    "largest_prime_factor",
     "legendre_valuation", "log_factorial_direct", "log_factorial_via_lambda",
     "log_zeta_truncation", "meissel_mertens_from_series",
-    "meissel_mertens_from_tail", "mertens1_residual_report",
+    "meissel_mertens_from_tail",
     "mertens_first_sum", "mobius", "nth_prime",
     "prime_count", "read_prime_cache", "reciprocal_prime_sum",
     "rough_tail_sum", "split_point", "sum_lambda_over_n",

@@ -15,7 +15,8 @@ import numpy as np
 from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness
 from .sieve import Factorization, SieveTable, factorize
-from .summation import compensated_cumsum, fsum
+from .summation import (_jump_cumulative, compensated_cumsum, fsum,
+                         piece_ends, step_values)
 
 
 def is_prime(n: int) -> bool:
@@ -85,13 +86,11 @@ def prime_power_terms(table: SieveTable, x: int):
     """
     if x < 2:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    cut = int(np.searchsorted(table.primes, x, side="right"))
-    ps = table.primes[:cut]
+    ps = table.primes_upto(x)
     base_logs = np.log(ps.astype(np.float64))
     extra_m: list[int] = []
     extra_l: list[float] = []
-    root_cut = int(np.searchsorted(ps, math.isqrt(x), side="right"))
-    for i in range(root_cut):
+    for i in range(table.primes_upto(math.isqrt(x)).size):
         p = int(ps[i])
         lp = float(base_logs[i])
         m = p * p
@@ -143,15 +142,14 @@ def theta_log_primorial(table: SieveTable, k: int) -> float:
     """log of the primorial: sum of log p over primes p <= k."""
     if not 0 <= k <= table.limit:
         raise DomainError(f"k={k} outside [0, {table.limit}]")
-    cut = int(np.searchsorted(table.primes, k, side="right"))
-    return fsum(np.log(table.primes[:cut].astype(np.float64)))
+    return fsum(np.log(table.primes_upto(k).astype(np.float64)))
 
 
 def prime_count(table: SieveTable, x: int) -> int:
     """pi(x) by binary search in the prime list."""
     if not 0 <= x <= table.limit:
         raise DomainError(f"x={x} outside [0, {table.limit}]")
-    return int(np.searchsorted(table.primes, x, side="right"))
+    return table.primes_upto(x).size
 
 
 def divisors(fact: Factorization) -> list[int]:
@@ -228,8 +226,7 @@ def theta_table(table: SieveTable, x: int) -> np.ndarray:
     if not 0 <= x <= table.limit:
         raise DomainError(f"x={x} outside [0, {table.limit}]")
     arr = np.zeros(x + 1, dtype=np.float64)
-    cut = int(np.searchsorted(table.primes, x, side="right"))
-    ps = table.primes[:cut]
+    ps = table.primes_upto(x)
     arr[ps] = np.log(ps.astype(np.float64))
     return compensated_cumsum(arr)
 
@@ -239,8 +236,7 @@ def pi_count_table(table: SieveTable, x: int) -> np.ndarray:
     if not 0 <= x <= table.limit:
         raise DomainError(f"x={x} outside [0, {table.limit}]")
     arr = np.zeros(x + 1, dtype=np.int64)
-    cut = int(np.searchsorted(table.primes, x, side="right"))
-    arr[table.primes[:cut]] = 1
+    arr[table.primes_upto(x)] = 1
     return np.cumsum(arr)
 
 
@@ -384,13 +380,11 @@ def psi_theta_dominance_sweep(table: SieveTable, x_max: int,
     Both are constant between prime powers, so their values at the ends
     of those pieces cover every integer in [2, x_max].
     """
-    # deferred: partial_sums imports this module
-    from .partial_sums import _jump_cumulative, piece_ends, step_values
     if not 2 <= x_max <= table.limit:
         raise DomainError(f"x_max={x_max} outside [2, {table.limit}]")
     ms, logs = prime_power_terms(table, x_max)
     # prime power list is primes first, then k >= 2 powers
-    n_primes = int(np.searchsorted(table.primes, x_max, side="right"))
+    n_primes = table.primes_upto(x_max).size
     pos, psi_cum = _jump_cumulative(ms, logs)
     ps, theta_cum = _jump_cumulative(ms[:n_primes], logs[:n_primes])
     xs, counts = piece_ends(pos, 2, x_max)

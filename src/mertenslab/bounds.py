@@ -7,7 +7,7 @@ big-integer pass runs alongside. Failures are reported, never raised.
 
 pi(n), psi(x), theta(x) and the sum of 1/p are step functions checked
 against monotone curves, so those checks evaluate only where a constant
-piece starts or ends (partial_sums.piece_ends), which covers every
+piece starts or ends (summation.piece_ends), which covers every
 integer in range. psi there is the compensated prefix sum of the sorted
 prime-power terms, within 16 ulps of the exact value at 1e7; theta is
 the same sum over the primes.
@@ -20,10 +20,10 @@ import numpy as np
 from .arith import log_factorial_table, prime_power_terms
 from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness
-from .partial_sums import (_jump_cumulative, _prime_prefix,
-                           mertens_bound_sweep, piece_ends, step_values)
+from .partial_sums import mertens_bound_sweep
 from .sieve import SieveTable
-from .summation import compensated_cumsum
+from .summation import (_jump_cumulative, compensated_cumsum, piece_ends,
+                        step_values)
 
 LOG4 = math.log(4.0)
 SLACK = 1e-9
@@ -85,23 +85,23 @@ def check_psi_dyadic(table: SieveTable, n_max: int) -> VerificationOutcome:
 
 
 def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
-                     c2: float = 1.2, x_lo: int = 2) -> VerificationOutcome:
-    """c1 x <= psi(x) <= c2 x on [x_lo, x_max]; constants calibrated.
+                     c2: float = 1.2) -> VerificationOutcome:
+    """c1 x <= psi(x) <= c2 x on [2, x_max]; constants calibrated.
 
     psi is constant between prime powers while both lines grow, so the
     lower margin is tightest at a piece's right end, the upper at its left.
     """
-    if not x_lo <= x_max <= table.limit:
-        raise DomainError(f"x_max={x_max} outside [{x_lo}, {table.limit}]")
+    if not 2 <= x_max <= table.limit:
+        raise DomainError(f"x_max={x_max} outside [2, {table.limit}]")
     if not 0 < c1 < c2:
         raise DomainError(f"need 0 < c1 < c2, got ({c1}, {c2})")
     pos, psi = _jump_cumulative(*prime_power_terms(table, x_max))
-    xs, counts = piece_ends(pos, x_lo, x_max)
+    xs, counts = piece_ends(pos, 2, x_max)
     vals = step_values(psi, counts)
     lower = _worst(vals - c1 * xs, xs, c1 * xs, vals)
     upper = _worst(c2 * xs - vals, xs, vals, c2 * xs)
     worst = _merge(lower, upper)
-    return VerificationOutcome("psi-linear", (x_lo, x_max),
+    return VerificationOutcome("psi-linear", (2, x_max),
                                worst.margin >= -SLACK, worst)
 
 
@@ -114,7 +114,7 @@ def check_primorial_bound(table: SieveTable,
     """
     if not 1 <= k_max <= table.limit:
         raise DomainError(f"k_max={k_max} outside [1, {table.limit}]")
-    ps = _prime_prefix(table, k_max)
+    ps = table.primes_upto(k_max)
     theta = compensated_cumsum(np.log(ps.astype(np.float64)))
     ks, counts = piece_ends(ps, 1, k_max)
     vals = step_values(theta, counts)
@@ -140,9 +140,10 @@ def check_interval_primorial(table: SieveTable,
     For each prime p, theta(2m+1) moves at m = (p-1)/2 and theta(m+1) at
     m = p-1; between those points the gain is constant and the cap grows.
     """
-    if not 1 <= 2 * m_max + 1 <= table.limit:
-        raise DomainError(f"2*m_max+1={2 * m_max + 1} exceeds {table.limit}")
-    ps = _prime_prefix(table, 2 * m_max + 1)
+    if not 1 <= m_max <= (table.limit - 1) // 2:
+        raise DomainError(
+            f"m_max={m_max} outside [1, {(table.limit - 1) // 2}]")
+    ps = table.primes_upto(2 * m_max + 1)
     theta = compensated_cumsum(np.log(ps.astype(np.float64)))
     moves = np.sort(np.concatenate(((ps - 1) // 2, ps - 1)))
     ms, _ = piece_ends(moves, 1, m_max)
@@ -216,7 +217,7 @@ def check_reciprocal_lower(table: SieveTable,
     """
     if not 2 <= n_max <= table.limit:
         raise DomainError(f"n_max={n_max} outside [2, {table.limit}]")
-    ps = _prime_prefix(table, n_max)
+    ps = table.primes_upto(n_max)
     cum = compensated_cumsum(1.0 / ps.astype(np.float64))
     shift = math.log(math.pi * math.pi / 6.0)
     ns, counts = piece_ends(ps, 2, n_max)

@@ -54,6 +54,19 @@ def _parse_tol(text: str) -> tuple[str, float]:
             from exc
 
 
+def _thread_count(text: str) -> int:
+    """argparse type for --threads: rejected before any table is built."""
+    try:
+        count = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: '{text}'") \
+            from exc
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count must be >= 1, got {count}")
+    return count
+
+
 def _evaluate_table_cell(table, func: str, x: int, s: float):
     """(observed, predicted) for one table row; predicted may be None."""
     if func == "lambda-sum":
@@ -207,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--tol", action="append", type=_parse_tol, default=None,
                    metavar="NAME=VALUE")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", type=str, default=None,
                    help="also write outcomes as JSON")
     p.set_defaults(handler=cmd_verify)

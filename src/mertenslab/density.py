@@ -11,38 +11,14 @@ SPF-dtype array of largest factors up to x (40 MB at 1e7).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness
-from .partial_sums import (LOG2, ResidualReport, ResidualRow, piece_ends,
-                           step_values)
+from .partial_sums import LOG2, ResidualReport, ResidualRow, _validate_xs
 from .sieve import LPF_CHUNK, SieveTable, largest_factor_range
-from .summation import fsum
-
-
-@dataclass(frozen=True)
-class LargeFactorCensus:
-    """One sample of the large-factor population at x."""
-
-    x: int
-    g_value: int
-    oracle_count: int | None
-    density: float
-    split_point: float
-
-    def __post_init__(self):
-        if self.oracle_count is not None and self.oracle_count != self.g_value:
-            raise DomainError(
-                f"pair count {self.g_value} != census {self.oracle_count} "
-                f"at x={self.x}: the bijection is exact")
-        if not 0.0 <= self.density <= 1.0:
-            raise DomainError(f"density {self.density} outside [0, 1]")
-        if not math.sqrt(self.x) < self.split_point <= 1 + self.x:
-            raise DomainError(
-                f"split point {self.split_point} outside (sqrt x, 1 + x]")
+from .summation import fsum, piece_ends, step_values
 
 
 def _large_flags(lpf: np.ndarray, lo: int) -> np.ndarray:
@@ -66,8 +42,7 @@ def census_oracle(table: SieveTable, x: int) -> int:
 def g_count(table: SieveTable, x: int) -> int:
     """Pairs (p, q) with q < p <= x/q: sum of min(p-1, floor(x/p))."""
     table.check_range(x)
-    cut = int(np.searchsorted(table.primes, x, side="right"))
-    ps = table.primes[:cut]
+    ps = table.primes_upto(x)
     return int(np.minimum(ps - 1, x // ps).sum())
 
 
@@ -84,8 +59,7 @@ def g_count_split(table: SieveTable, x: int) -> tuple[int, int]:
     Thresholds are exact: p <= sqrt x iff p*p <= x.
     """
     table.check_range(x)
-    cut = int(np.searchsorted(table.primes, x, side="right"))
-    ps = table.primes[:cut]
+    ps = table.primes_upto(x)
     below = ps[ps * ps <= x]
     above = ps[ps * ps > x]
     small = int((below - 1).sum())
@@ -98,17 +72,8 @@ def rough_tail_sum(table: SieveTable, n: int) -> float:
     if n < 4:
         raise DomainError(f"tail sum needs n >= 4, got {n}")
     table.check_range(n)
-    lo = int(np.searchsorted(table.primes, math.isqrt(n), side="right"))
-    hi = int(np.searchsorted(table.primes, n, side="right"))
-    return fsum(1.0 / table.primes[lo:hi].astype(np.float64))
-
-
-def large_factor_census(table: SieveTable, x: int,
-                        with_oracle: bool = True) -> LargeFactorCensus:
-    g = g_count(table, x)
-    oracle = census_oracle(table, x) if with_oracle else None
-    return LargeFactorCensus(x=x, g_value=g, oracle_count=oracle,
-                             density=g / x, split_point=split_point(x))
+    lo = table.primes_upto(math.isqrt(n)).size
+    return fsum(1.0 / table.primes_upto(n)[lo:].astype(np.float64))
 
 
 def density_series(table: SieveTable, xs: list[int],
@@ -123,12 +88,7 @@ def density_series(table: SieveTable, xs: list[int],
     term is negative and large at small x: |G(x)/x - log 2| rises from
     1e3 to 1e5 before it falls. Pass means inside-the-envelope only.
     """
-    if not xs:
-        raise DomainError("xs must be non-empty")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise DomainError("xs must be strictly increasing")
-    if xs[0] < 100 or xs[-1] > table.limit:
-        raise DomainError(f"xs must lie in [100, {table.limit}]")
+    _validate_xs(table, xs, 100)
     rows = []
     for x in xs:
         observed = g_count(table, x) / x
@@ -152,8 +112,7 @@ def g_count_all(table: SieveTable, x_max: int) -> np.ndarray:
     """
     table.check_range(x_max)
     diff = np.zeros(x_max + 1, dtype=np.int64)
-    cut = int(np.searchsorted(table.primes, x_max, side="right"))
-    for p in table.primes[:cut].tolist():
+    for p in table.primes_upto(x_max).tolist():
         stop = min(p * (p - 1), x_max) + 1
         diff[p:stop:p] += 1
     return np.cumsum(diff)
@@ -213,9 +172,7 @@ def split_interval_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
     """
     table.check_range(x_max)
     counts = np.zeros(x_max + 1, dtype=np.int64)
-    cut = int(np.searchsorted(table.primes, math.isqrt(x_max) + 1,
-                              side="right"))
-    for p in table.primes[:cut].tolist():
+    for p in table.primes_upto(math.isqrt(x_max) + 1).tolist():
         lo = p * p - p
         if lo > x_max:
             break
@@ -235,19 +192,19 @@ def split_interval_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
     return VerificationOutcome("split-interval", (2, x_max), ok, w)
 
 
-def small_part_bound_sweep(table: SieveTable, x_max: int,
-                           x_min: int = 10) -> VerificationOutcome:
-    """sum_{p <= sqrt x}(p-1) <= pi(sqrt x) sqrt x <= e x / log(sqrt x).
+def small_part_bound_sweep(table: SieveTable,
+                           x_max: int) -> VerificationOutcome:
+    """sum_{p <= sqrt x}(p-1) <= pi(sqrt x) sqrt x <= e x / log(sqrt x)
+    for x = 10..x_max.
 
     pi(sqrt x) and the small part only move at prime squares. Between
     them both margins grow with x (the upper one because
     pi(t) < 1.26 t / log t), so each piece is tightest at its left end.
     """
-    if not x_min <= x_max <= table.limit:
-        raise DomainError(f"x_max={x_max} outside [{x_min}, {table.limit}]")
-    cut = int(np.searchsorted(table.primes, math.isqrt(x_max), side="right"))
-    roots = table.primes[:cut]
-    xs, idx = piece_ends(roots * roots, x_min, x_max)
+    if not 10 <= x_max <= table.limit:
+        raise DomainError(f"x_max={x_max} outside [10, {table.limit}]")
+    roots = table.primes_upto(math.isqrt(x_max))
+    xs, idx = piece_ends(roots * roots, 10, x_max)
     small = step_values(np.cumsum(roots - 1), idx)
     sqrt_x = np.sqrt(xs.astype(np.float64))
     mid = idx * sqrt_x                      # pi(sqrt x) * sqrt x
@@ -261,7 +218,7 @@ def small_part_bound_sweep(table: SieveTable, x_max: int,
     else:
         worst = Witness(int(xs[j]), float(mid[j]), float(top[j]),
                         float(m2[j]))
-    return VerificationOutcome("small-part-bound", (x_min, x_max),
+    return VerificationOutcome("small-part-bound", (10, x_max),
                                worst.margin >= 0, worst)
 
 

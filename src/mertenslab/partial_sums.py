@@ -1,15 +1,13 @@
 """Prime partial sums, their asymptotic residuals, and Abel summation.
 
 The three central sums (Lambda(m)/m, log p/p, 1/p) are evaluated with
-exactly rounded accumulation; residual reports compare them against
-their asymptotic laws at caller-chosen sample points. The limit
-constant is estimated by two independent routes that must agree.
+exactly rounded accumulation; the residual report compares S(x) against
+loglog x + M at caller-chosen sample points. The limit constant is
+estimated by two independent routes that must agree.
 
 The exhaustive sweeps hold each sum, a step function, against a
-monotone curve. piece_ends lists where its constant pieces start and
-end; the gap on a piece is extreme at one of its ends, so those points
-stand for every integer in range. The bounds and density sweeps share
-the same primitive.
+monotone curve at the piece ends from summation.piece_ends, the
+primitive the bounds and density sweeps share.
 """
 
 import math
@@ -21,7 +19,8 @@ from .arith import prime_power_terms
 from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness
 from .sieve import SieveTable
-from .summation import RunningSum, compensated_cumsum, fsum
+from .summation import (RunningSum, _jump_cumulative, fsum, piece_ends,
+                         step_values)
 
 EULER_GAMMA = 0.57721566490153286060
 MEISSEL_MERTENS_REFERENCE = 0.2614972128
@@ -58,11 +57,6 @@ class ConstantEstimate:
                               "non-negative error bound")
 
 
-def _prime_prefix(table: SieveTable, x: int) -> np.ndarray:
-    cut = int(np.searchsorted(table.primes, x, side="right"))
-    return table.primes[:cut]
-
-
 def sum_lambda_over_n(table: SieveTable, x: int) -> float:
     """Sum of Lambda(m)/m over m <= x; tracks log x within O(1)."""
     table.check_range(x)
@@ -73,20 +67,25 @@ def sum_lambda_over_n(table: SieveTable, x: int) -> float:
 def mertens_first_sum(table: SieveTable, x: int) -> float:
     """Sum of (log p)/p over primes p <= x; tracks log x within 2."""
     table.check_range(x)
-    ps = _prime_prefix(table, x).astype(np.float64)
+    ps = table.primes_upto(x).astype(np.float64)
     return fsum(np.log(ps) / ps)
 
 
 def reciprocal_prime_sum(table: SieveTable, x: int) -> float:
     """S(x): sum of 1/p over primes p <= x."""
     table.check_range(x)
-    ps = _prime_prefix(table, x).astype(np.float64)
+    ps = table.primes_upto(x).astype(np.float64)
     return fsum(1.0 / ps)
 
 
-def _abel_pieces(weights, f, lower: float, upper: float, integral) -> float:
-    """A(upper) f(upper) minus A * integral(a, b) summed over the constant
-    pieces [a, b] of the step function A on [lower, upper]."""
+def abel_summation(weights, f, f_prime, lower: float, upper: float) -> float:
+    """Boundary term minus the Stieltjes integral of the partial sums.
+
+    A(t) is the step function accumulating weights with index <= t. The
+    integral of A f' is evaluated exactly piecewise (A is constant
+    between jumps, so each piece is A * (f(b) - f(a)) via f itself).
+    f_prime completes the classical signature; the value never reads it.
+    """
     if not lower < upper:
         raise DomainError(f"need lower < upper, got [{lower}, {upper}]")
     weights = list(weights)     # read twice: an iterator would run dry
@@ -106,45 +105,14 @@ def _abel_pieces(weights, f, lower: float, upper: float, integral) -> float:
     t_cur = lower
     a_cur = run.value
     for b in sorted(jumps):
-        pieces.append(a_cur * integral(t_cur, b))
+        pieces.append(a_cur * (f(b) - f(t_cur)))
         for a in jumps[b]:
             run.add(a)
         a_cur = run.value
         t_cur = b
     if t_cur < upper:
-        pieces.append(a_cur * integral(t_cur, upper))
+        pieces.append(a_cur * (f(upper) - f(t_cur)))
     return fsum([a_cur * f(upper)] + [-piece for piece in pieces])
-
-
-def abel_summation(weights, f, f_prime, lower: float, upper: float) -> float:
-    """Boundary term minus the Stieltjes integral of the partial sums.
-
-    A(t) is the step function accumulating weights with index <= t. The
-    integral of A f' is evaluated exactly piecewise (A is constant
-    between jumps, so each piece is A * (f(b) - f(a)) via f itself).
-    f_prime is accepted so callers can pass the same arguments to
-    abel_summation_quadrature; the returned value never depends on it.
-    """
-    return _abel_pieces(weights, f, lower, upper, lambda a, b: f(b) - f(a))
-
-
-def abel_summation_quadrature(weights, f, f_prime, lower: float, upper: float,
-                              quadrature_steps: int = 64) -> float:
-    """Same decomposition, but integrating A(t) f'(t) by composite
-    Simpson per constant piece. Cross-check only: quadrature-limited."""
-    if quadrature_steps < 1:
-        raise DomainError("quadrature_steps must be >= 1")
-
-    def simpson(a: float, b: float) -> float:
-        n = 2 * quadrature_steps
-        ts = np.linspace(a, b, n + 1)
-        ys = np.array([f_prime(t) for t in ts])
-        coef = np.ones(n + 1)
-        coef[1:-1:2] = 4.0
-        coef[2:-1:2] = 2.0
-        return (b - a) / (3 * n) * float(coef @ ys)
-
-    return _abel_pieces(weights, f, lower, upper, simpson)
 
 
 def _decade_monotone(rows: list[ResidualRow]) -> bool:
@@ -164,30 +132,6 @@ def _validate_xs(table: SieveTable, xs: list[int], lo: int) -> None:
         raise DomainError("xs must be strictly increasing")
     if xs[0] < lo or xs[-1] > table.limit:
         raise DomainError(f"xs must lie in [{lo}, {table.limit}]")
-
-
-def _log_x_report(evaluate, xs: list[int], ceiling: float) -> ResidualReport:
-    rows = []
-    for x in xs:
-        observed = evaluate(x)
-        rows.append(ResidualRow(x, observed, math.log(x),
-                                observed - math.log(x), ceiling))
-    return ResidualReport(rows,
-                          all(abs(r.residual) <= r.tolerance for r in rows))
-
-
-def lambda_sum_residual_report(table: SieveTable, xs: list[int],
-                               ceiling: float = 2.0) -> ResidualReport:
-    """Residuals of the Lambda(m)/m sum against log x, O(1) ceiling."""
-    _validate_xs(table, xs, 2)
-    return _log_x_report(lambda x: sum_lambda_over_n(table, x), xs, ceiling)
-
-
-def mertens1_residual_report(table: SieveTable, xs: list[int],
-                             ceiling: float = 2.0) -> ResidualReport:
-    """Residuals of the (log p)/p sum against log x, O(1) ceiling."""
-    _validate_xs(table, xs, 2)
-    return _log_x_report(lambda x: mertens_first_sum(table, x), xs, ceiling)
 
 
 def mertens2_residual_report(table: SieveTable, xs: list[int],
@@ -210,20 +154,18 @@ def mertens2_residual_report(table: SieveTable, xs: list[int],
     return ResidualReport(rows, passed)
 
 
-def meissel_mertens_from_tail(table: SieveTable, x: int,
-                              c: float = 1.0) -> ConstantEstimate:
-    """S(x) - loglog x; converges to the limit constant like c/log x."""
+def meissel_mertens_from_tail(table: SieveTable, x: int) -> ConstantEstimate:
+    """S(x) - loglog x; converges to the limit constant like 1/log x."""
     if x < 100:
         raise DomainError(f"tail estimate needs x >= 100, got {x}")
     table.check_range(x)
     value = reciprocal_prime_sum(table, x) - math.log(math.log(x))
     return ConstantEstimate("meissel-mertens", value,
-                            route="tail-limit", error_bound=c / math.log(x))
+                            route="tail-limit", error_bound=1.0 / math.log(x))
 
 
-def meissel_mertens_from_series(
-        table: SieveTable, prime_limit: int,
-        gamma: float = EULER_GAMMA) -> ConstantEstimate:
+def meissel_mertens_from_series(table: SieveTable,
+                                prime_limit: int) -> ConstantEstimate:
     """gamma plus the prime series of log(1 - 1/p) + 1/p.
 
     Each term is log1p(-1/p) + 1/p (the cancellation dominates the
@@ -233,9 +175,9 @@ def meissel_mertens_from_series(
     if prime_limit < 10 ** 3:
         raise DomainError(f"prime_limit must be >= 1000, got {prime_limit}")
     table.check_range(prime_limit)
-    ps = _prime_prefix(table, prime_limit).astype(np.float64)
+    ps = table.primes_upto(prime_limit).astype(np.float64)
     terms = np.log1p(-1.0 / ps) + 1.0 / ps
-    value = fsum([gamma] + terms.tolist())
+    value = fsum([EULER_GAMMA] + terms.tolist())
     return ConstantEstimate("meissel-mertens", value,
                             route="gamma-plus-prime-series",
                             error_bound=1.0 / prime_limit)
@@ -255,45 +197,15 @@ def log_zeta_truncation(table: SieveTable, s: float, n_max: int) -> float:
 # exhaustive sweeps against the O(1) ceilings
 
 
-def _jump_cumulative(positions: np.ndarray, terms: np.ndarray):
-    """Sort jump positions and return them with compensated prefix sums."""
-    order = np.argsort(positions, kind="stable")
-    return positions[order], compensated_cumsum(terms[order])
-
-
-def piece_ends(jumps: np.ndarray, lo: int, hi: int):
-    """Where the constant pieces of a step function on [lo, hi] start and end.
-
-    The step function jumps at each entry of the sorted array ``jumps``
-    and is constant from one jump up to the integer before the next. The
-    points are lo, hi, and q and q - 1 for every jump q in (lo, hi],
-    ascending; duplicates may occur. Against a monotone curve the gap on
-    a piece is extreme at one of the piece's two ends, so checking these
-    points covers every integer in [lo, hi]. Returns the points and the
-    number of jumps at or below each.
-    """
-    inner = jumps[np.searchsorted(jumps, lo, side="right"):
-                  np.searchsorted(jumps, hi, side="right")]
-    ns = np.sort(np.concatenate((np.array([lo, hi], dtype=np.int64),
-                                 inner, inner - 1)))
-    return ns, np.searchsorted(jumps, ns, side="right")
-
-
-def step_values(cum: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The step function after ``counts`` jumps: ``cum[count - 1]``, where
-    ``cum`` holds its prefix sums, or 0 before the first jump."""
-    return np.concatenate(([0], cum))[counts]
-
-
 def lambda_sum_bound_sweep(table: SieveTable, x_max: int,
-                           ceiling: float = 2.0,
-                           x_min: int = 10) -> VerificationOutcome:
-    """|sum Lambda(m)/m - log x| <= ceiling at every integer x in range."""
-    if not x_min <= x_max <= table.limit:
-        raise DomainError(f"x_max={x_max} outside [{x_min}, {table.limit}]")
+                           ceiling: float = 2.0) -> VerificationOutcome:
+    """|sum Lambda(m)/m - log x| <= ceiling at every integer x in
+    [10, x_max]."""
+    if not 10 <= x_max <= table.limit:
+        raise DomainError(f"x_max={x_max} outside [10, {table.limit}]")
     ms, logs = prime_power_terms(table, x_max)
     pos, cum = _jump_cumulative(ms, logs / ms.astype(np.float64))
-    return _step_vs_log_sweep("lambda-sum-bound", pos, cum, x_min, x_max,
+    return _step_vs_log_sweep("lambda-sum-bound", pos, cum, 10, x_max,
                               ceiling)
 
 
@@ -302,7 +214,7 @@ def mertens_bound_sweep(table: SieveTable, n_max: int,
     """|sum (log p)/p - log n| <= ceiling at every integer n in [2, n_max]."""
     if not 2 <= n_max <= table.limit:
         raise DomainError(f"n_max={n_max} outside [2, {table.limit}]")
-    ps = _prime_prefix(table, n_max)
+    ps = table.primes_upto(n_max)
     pf = ps.astype(np.float64)
     pos, cum = _jump_cumulative(ps, np.log(pf) / pf)
     return _step_vs_log_sweep("mertens1-bound", pos, cum, 2, n_max, ceiling)
@@ -333,7 +245,7 @@ def lambda_mertens_gap_sweep(table: SieveTable, x_max: int,
         raise DomainError(f"x_max={x_max} outside [2, {table.limit}]")
     ms, logs = prime_power_terms(table, x_max)
     # prime power list is primes first, then k >= 2 powers; split positionally
-    n_primes = int(np.searchsorted(table.primes, x_max, side="right"))
+    n_primes = table.primes_upto(x_max).size
     hp = ms[n_primes:]
     terms = logs[n_primes:] / hp.astype(np.float64)
     if hp.size == 0:

@@ -2,7 +2,7 @@
 
 Every other module queries a SieveTable: the SPF array answers factor
 structure in O(log n) per integer, the prime list answers counting and
-enumeration. Construction is segmented so cache behaviour stays flat at
+enumeration, and primes_upto(x) is the one way to the primes <= x. Construction is segmented so cache behaviour stays flat at
 large limits; the finished table is immutable. Largest prime factors
 over a range come from one memoized pass over the SPF chains
 (largest_factor_range).
@@ -31,11 +31,14 @@ class SieveTable:
     limit: int
     spf: np.ndarray      # spf[n] = smallest prime factor of n, 0 for n < 2
     primes: np.ndarray   # int64, ascending, all primes <= limit
-    segment_size: int
 
     def __post_init__(self):
         self.spf.flags.writeable = False
         self.primes.flags.writeable = False
+
+    def primes_upto(self, x: int) -> np.ndarray:
+        """The primes <= x, ascending: a view of ``primes``, empty below 2."""
+        return self.primes[:int(np.searchsorted(self.primes, x, side="right"))]
 
     def check_range(self, n: int, lo: int = 2) -> None:
         if not lo <= n <= self.limit:
@@ -116,8 +119,7 @@ def build_sieve(limit: int, segment_size: int = DEFAULT_SEGMENT,
 
     primes = (np.concatenate(prime_chunks) if prime_chunks
               else np.empty(0, dtype=np.int64))
-    return SieveTable(limit=limit, spf=spf, primes=primes,
-                      segment_size=segment_size)
+    return SieveTable(limit=limit, spf=spf, primes=primes)
 
 
 def factorize(table: SieveTable, n: int) -> Factorization:

@@ -85,12 +85,16 @@ def bounds_checks(table: SieveTable, tols: dict[str, float]) -> list:
             tols["psi-linear-c2"])),
         ("primorial-bound", lambda: bounds.check_primorial_bound(
             table, min(L, 10 ** 6))),
-        ("interval-primorial", lambda: bounds.check_interval_primorial(
-            table, min((L - 1) // 2, 10 ** 5))),
-        ("stirling-lower", lambda: bounds.check_stirling_lower(
-            min(L, 10 ** 6))),
-        ("pi-upper", lambda: bounds.check_pi_upper(table, min(L, 10 ** 7))),
     ]
+    if L >= 3:
+        checks.append(("interval-primorial",
+                       lambda: bounds.check_interval_primorial(
+                           table, min((L - 1) // 2, 10 ** 5))))
+    checks.append(("stirling-lower", lambda: bounds.check_stirling_lower(
+        min(L, 10 ** 6))))
+    if L >= 3:
+        checks.append(("pi-upper", lambda: bounds.check_pi_upper(
+            table, min(L, 10 ** 7))))
     n_primes = int(table.primes.size)
     if n_primes >= 6:
         checks.append(("dusart", lambda: bounds.check_dusart(
@@ -112,9 +116,8 @@ def _abel_exactness(table: SieveTable, xs: list[int],
     f = lambda t: 1.0 / math.log(t)
     fp = lambda t: -1.0 / (t * math.log(t) ** 2)
     for x in xs:
-        cut = arith.prime_count(table, x)
-        weights = [(int(p), math.log(p) / p)
-                   for p in table.primes[:cut].tolist()]
+        weights = [(p, math.log(p) / p)
+                   for p in table.primes_upto(x).tolist()]
         got = partial_sums.abel_summation(weights, f, fp, 2.0, float(x))
         ref = partial_sums.reciprocal_prime_sum(table, x)
         rel = abs(got - ref) / ref
@@ -151,12 +154,14 @@ def _log_zeta_reference(table: SieveTable, s: float, reference: float,
 
 def asymptotics_checks(table: SieveTable, tols: dict[str, float]) -> list:
     L = table.limit
-    checks = [
-        ("lambda-sum-bound", lambda: partial_sums.lambda_sum_bound_sweep(
-            table, min(L, 10 ** 7), tols["lambda-sum-bound"])),
-        ("lambda-mertens-gap", lambda: partial_sums.lambda_mertens_gap_sweep(
-            table, min(L, 10 ** 7), tols["lambda-mertens-gap"])),
-    ]
+    checks = []
+    if L >= 10:
+        checks.append(("lambda-sum-bound",
+                       lambda: partial_sums.lambda_sum_bound_sweep(
+                           table, min(L, 10 ** 7), tols["lambda-sum-bound"])))
+    checks.append(("lambda-mertens-gap",
+                   lambda: partial_sums.lambda_mertens_gap_sweep(
+                       table, min(L, 10 ** 7), tols["lambda-mertens-gap"])))
     if L >= 10 ** 3:
         checks.append(("mertens2-residuals", lambda: _report_outcome(
             "mertens2-residuals", partial_sums.mertens2_residual_report(

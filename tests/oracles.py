@@ -70,6 +70,33 @@ def fsum_prefix(weights: dict[int, float], hi: int) -> list[float]:
     return values
 
 
+def abel_summation_quadrature(weights, f, f_prime, lower: float,
+                              upper: float, steps: int = 64) -> float:
+    """A(upper) f(upper) minus the integral of A(t) f'(t) over [lower,
+    upper], where A(t) sums the weights with index <= t; the integral by
+    composite Simpson with 2 * steps panels on each constant piece of A.
+    Quadrature-limited: a cross-check for exact Abel summation."""
+    weights = list(weights)
+    idxs = [i for i, _ in weights]
+    if not lower < upper or idxs != sorted(idxs):
+        raise ValueError("need lower < upper and weights sorted by index")
+
+    def partial_sum(t):
+        return math.fsum(a for i, a in weights if i <= t)
+
+    def simpson(a, b):
+        n = 2 * steps
+        h = (b - a) / n
+        ys = [f_prime(a + k * h) for k in range(n + 1)]
+        return h / 3 * math.fsum([ys[0], ys[-1], *(4 * y for y in ys[1:-1:2]),
+                                  *(2 * y for y in ys[2:-1:2])])
+
+    ends = sorted({lower, upper} | {i for i in idxs if lower < i < upper})
+    integral = math.fsum(partial_sum(a) * simpson(a, b)
+                         for a, b in zip(ends, ends[1:]))
+    return partial_sum(upper) * f(upper) - integral
+
+
 def bound_sweep_reference(check: str, hi: int, ceiling: float = 2.0,
                           c1: float = 0.3, c2: float = 1.2,
                           log4: float = math.log(4.0),

@@ -57,6 +57,10 @@ def test_primorial_bound(table_1e4):
 def test_interval_primorial(table_1e4):
     out = B.check_interval_primorial(table_1e4, 4000)
     assert out.passed
+    with pytest.raises(DomainError):       # an empty range of m
+        B.check_interval_primorial(table_1e4, 0)
+    with pytest.raises(DomainError):       # 2m + 1 past the table
+        B.check_interval_primorial(table_1e4, 5000)
     # m = 2: primes in (3, 5] = {5}; 5 <= 16 and 5 | C(5,3) = 10
     assert math.comb(5, 3) % 5 == 0
 

@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mertenslab import cli
 from mertenslab.cli import main
 
 DATA = Path(__file__).parent / "data"
+GOLDEN_1E7 = (Path(__file__).parents[1] / "perfbench"
+              / "golden_verify_1e7.json")
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -122,11 +125,27 @@ def test_verify_unknown_tolerance(capsys):
     assert code == 2
     assert "unknown tolerance" in err
 
-def test_verify_zero_threads(capsys):
+def test_verify_zero_threads(capsys, monkeypatch):
+    # rejected while the arguments are parsed, before any table is built
+    def no_table(*args, **kwargs):
+        raise AssertionError("sieve built for a bad thread count")
+
+    monkeypatch.setattr(cli, "build_sieve", no_table)
     code, _, err = run_cli(capsys, "verify", "--suite", "bounds",
                            "--limit", "1000", "--threads", "0")
     assert code == 2
     assert "thread" in err
+
+def test_verify_tiny_limits(capsys):
+    # checks whose range is empty at a small limit are left out
+    for suite in ("identities", "bounds", "asymptotics", "density"):
+        for limit in range(2, 13):
+            code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                                     "--limit", str(limit))
+            assert (suite, limit, code, err) == (suite, limit, 0, "")
+            for line in out.splitlines():
+                lo, hi = line.split("range=[")[1].split("]")[0].split(",")
+                assert int(lo) <= int(hi), line
 
 def test_verify_thread_count_invariant(capsys):
     base = ("verify", "--suite", "all", "--limit", "20000")
@@ -143,6 +162,19 @@ def test_verify_all_snapshot(capsys, tmp_path):
     assert code == 0
     assert out.encode() == (DATA / "verify_all_1e5.txt").read_bytes()
     assert out_path.read_bytes() == (DATA / "verify_all_1e5.json").read_bytes()
+
+def test_verify_all_matches_golden_1e7(capsys, tmp_path):
+    # the 1e7 outputs the benchmark checks its runs against
+    golden = json.loads(GOLDEN_1E7.read_text())
+    out_path = tmp_path / "verify.json"
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all",
+                           "--limit", "10000000", "--threads", "2",
+                           "--out", str(out_path))
+    assert code == 0
+    assert out == "".join(line + "\n" for line in golden["lines"].values())
+    assert json.loads(out_path.read_text()) == {
+        "config": dict(golden["config"], thread_count=2), "rows": [],
+        "outcomes": list(golden["outcomes"].values())}
 
 def test_constants(capsys):
     code, out, _ = run_cli(capsys, "constants", "--limit", "100000")

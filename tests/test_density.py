@@ -107,16 +107,10 @@ def test_density_series(table_1e6):
 
 
 def test_large_factor_census_invariants(table_1e4):
-    census = D.large_factor_census(table_1e4, 1000)
-    assert census.g_value == census.oracle_count == census_brute(1000)[1000]
-    assert 0.0 <= census.density <= 1.0
-    assert math.sqrt(1000) < census.split_point <= 1001
-
-
-def test_census_rejects_mismatch():
-    with pytest.raises(DomainError):
-        D.LargeFactorCensus(x=10, g_value=6, oracle_count=7, density=0.6,
-                            split_point=D.split_point(10))
+    g = D.g_count(table_1e4, 1000)
+    assert g == D.census_oracle(table_1e4, 1000) == census_brute(1000)[1000]
+    assert 0.0 <= g / 1000 <= 1.0
+    assert math.sqrt(1000) < D.split_point(1000) <= 1001
 
 
 def test_sweeps(table_1e5):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mertenslab.errors import DomainError, ResourceError
@@ -117,6 +117,19 @@ def test_prime_count_consistency(table_1e4):
     for x in range(0, 10 ** 4 + 1, 97):
         assert int(np.searchsorted(primes, x, side="right")) == len(
             trial_primes(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.integers(-1, 10 ** 4))
+@example(x=-1)
+@example(x=1)
+@example(x=2)
+@example(x=9973)        # the largest prime in the table
+@example(x=10 ** 4)
+def test_primes_upto_is_the_prefix(table_1e4, x):
+    ps = table_1e4.primes_upto(x)
+    assert ps.tolist() == trial_primes(x)
+    assert ps.base is table_1e4.primes      # a view, not a copy
 
 
 def test_domain_errors(table_1e4):

@@ -16,6 +16,7 @@ from mertenslab import arith as A
 from mertenslab import bounds as B
 from mertenslab import density as D
 from mertenslab import partial_sums as P
+from mertenslab import summation as S
 
 from oracles import bound_sweep_reference
 
@@ -68,21 +69,21 @@ def test_failing_constants_fail(table_1e5):
 
 
 def test_piece_ends_no_jump_inside():
-    ns, counts = P.piece_ends(np.array([2, 3, 5, 7]), 8, 10)
+    ns, counts = S.piece_ends(np.array([2, 3, 5, 7]), 8, 10)
     assert ns.tolist() == [8, 10] and counts.tolist() == [4, 4]
-    ns, counts = P.piece_ends(np.array([], dtype=np.int64), 1, 5)
+    ns, counts = S.piece_ends(np.array([], dtype=np.int64), 1, 5)
     assert ns.tolist() == [1, 5] and counts.tolist() == [0, 0]
 
 
 def test_piece_ends_on_jumps():
-    ns, counts = P.piece_ends(np.array([2, 3, 5, 7]), 5, 7)
+    ns, counts = S.piece_ends(np.array([2, 3, 5, 7]), 5, 7)
     assert ns.tolist() == [5, 6, 7, 7]
     assert counts.tolist() == [3, 3, 4, 4]
 
 
 def test_piece_ends_adjacent_jumps():
     # pieces [1, 1], [2, 2], [3, 7], [8, 8], [9, 10]
-    ns, counts = P.piece_ends(np.array([2, 3, 8, 9]), 1, 10)
+    ns, counts = S.piece_ends(np.array([2, 3, 8, 9]), 1, 10)
     assert sorted(set(ns.tolist())) == [1, 2, 3, 7, 8, 9, 10]
     assert ns.tolist() == sorted(ns.tolist())
     assert dict(zip(ns.tolist(), counts.tolist())) == {
@@ -91,7 +92,7 @@ def test_piece_ends_adjacent_jumps():
 
 def test_step_values_zero_before_first_jump():
     cum = np.array([0.5, 0.75])
-    assert P.step_values(cum, np.array([0, 1, 2])).tolist() == \
+    assert S.step_values(cum, np.array([0, 1, 2])).tolist() == \
         [0.0, 0.5, 0.75]
 
 
@@ -103,9 +104,9 @@ def test_piece_ends_cover_every_integer(jump_set, lo, width):
     jumps = np.array(sorted(jump_set), dtype=np.int64)
     cum = np.cumsum(1.0 / (jumps + 1.0))
     hi = lo + width
-    ns, counts = P.piece_ends(jumps, lo, hi)
+    ns, counts = S.piece_ends(jumps, lo, hi)
     every = np.arange(lo, hi + 1)
-    dense = P.step_values(cum, np.searchsorted(jumps, every, side="right"))
+    dense = S.step_values(cum, np.searchsorted(jumps, every, side="right"))
     assert np.array_equal(counts, np.searchsorted(jumps, ns, side="right"))
-    gap = np.abs(P.step_values(cum, counts) - np.log(ns))
+    gap = np.abs(S.step_values(cum, counts) - np.log(ns))
     assert gap.max() == np.abs(dense - np.log(every)).max()
