@@ -51,8 +51,6 @@ from .sieve import (
     factorize,
     largest_prime_factor,
     nth_prime,
-    read_prime_cache,
-    write_prime_cache,
 )
 
 __version__ = "0.1.0"
@@ -69,9 +67,9 @@ __all__ = [
     "log_zeta_truncation", "meissel_mertens_from_series",
     "meissel_mertens_from_tail",
     "mertens_first_sum", "mobius", "nth_prime",
-    "prime_count", "read_prime_cache", "reciprocal_prime_sum",
+    "prime_count", "reciprocal_prime_sum",
     "rough_tail_sum", "split_point", "sum_lambda_over_n",
     "mertens2_residual_report",
     "theta_log_primorial", "verify_log_sum_identity",
-    "verify_selberg_identity", "von_mangoldt", "write_prime_cache",
+    "verify_selberg_identity", "von_mangoldt",
 ]

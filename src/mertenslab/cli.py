@@ -1,34 +1,24 @@
 """Command-line front end.
 
-Subcommands: sieve (build/cache prime tables), table (tabulate the
-tracked quantities as CSV/JSON), verify (run verification suites with
-pass/fail exit codes), constants (the limit constant by both routes).
+Subcommands: sieve (build a prime table, report count and timing),
+table (tabulate the tracked quantities as CSV/JSON), verify (run
+verification suites with pass/fail exit codes), constants (the limit
+constant by both routes).
 
 Exit codes: 0 all pass, 1 verification failure, 2 usage/resource error.
 """
 
 import argparse
 import math
-import os
 import sys
 import time
 
 from . import arith, density, partial_sums, reports, suites
 from .errors import DomainError, ResourceError
-from .sieve import DEFAULT_SEGMENT, build_sieve, write_prime_cache
-
-CACHE_DIR_ENV = "MERTENSLAB_CACHE_DIR"
+from .sieve import build_sieve
 
 TABLE_FUNCTIONS = ("lambda-sum", "mertens1", "recip-primes", "psi", "theta",
                    "pi", "g-count", "density", "rough-tail", "logzeta")
-
-
-def resolve_cache_path(path: str) -> str:
-    """Relative cache paths land in $MERTENSLAB_CACHE_DIR when set."""
-    cache_dir = os.environ.get(CACHE_DIR_ENV)
-    if cache_dir and not os.path.isabs(path):
-        return os.path.join(cache_dir, path)
-    return path
 
 
 def _parse_xs(text: str) -> list[int]:
@@ -74,9 +64,9 @@ def _evaluate_table_cell(table, func: str, x: int, s: float):
     if func == "mertens1":
         return partial_sums.mertens_first_sum(table, x), math.log(x)
     if func == "recip-primes":
-        predicted = (math.log(math.log(x))
-                     + partial_sums.MEISSEL_MERTENS_REFERENCE)
-        return partial_sums.reciprocal_prime_sum(table, x), predicted
+        observed = partial_sums.reciprocal_prime_sum(table, x)
+        return observed, (math.log(math.log(x))
+                          + partial_sums.MEISSEL_MERTENS_REFERENCE)
     if func == "psi":
         return arith.chebyshev_psi(table, x), None
     if func == "theta":
@@ -110,23 +100,18 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_sieve(args) -> int:
     started = time.perf_counter()
-    table = build_sieve(args.limit, args.segment)
+    table = build_sieve(args.limit)
     elapsed = time.perf_counter() - started
     count = int(table.primes.size)
     print(f"{count} prime{'' if count == 1 else 's'}")
-    print(f"built limit={args.limit} segment={args.segment} "
-          f"in {elapsed:.3f}s "
+    print(f"built limit={args.limit} in {elapsed:.3f}s "
           f"({args.limit / max(elapsed, 1e-9) / 1e6:.1f} M/s)")
-    if args.cache:
-        path = resolve_cache_path(args.cache)
-        write_prime_cache(path, table)
-        print(f"cache written: {path}")
     return 0
 
 
 def cmd_table(args) -> int:
     xs = _parse_xs(args.xs)
-    limit = args.limit if args.limit is not None else xs[-1]
+    limit = xs[-1]
     table = build_sieve(limit)
     rows = []
     for x in xs:
@@ -196,20 +181,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve", help="build a sieve, report count/timing")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--segment", type=int, default=DEFAULT_SEGMENT)
-    p.add_argument("--cache", type=str, default=None,
-                   help=f"write a binary prime cache (relative paths go "
-                        f"under ${CACHE_DIR_ENV} when set)")
     p.set_defaults(handler=cmd_sieve)
 
-    p = sub.add_parser("table", help="tabulate a quantity at given x values")
+    p = sub.add_parser("table", help="tabulate a quantity at given x values "
+                                     "(the sieve limit is max of --xs)")
     p.add_argument("--func", required=True, choices=TABLE_FUNCTIONS)
     p.add_argument("--xs", required=True,
                    help="comma-separated strictly increasing integers")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--limit", type=int, default=None,
-                   help="sieve limit (default: max of --xs)")
     p.add_argument("--s", type=float, default=2.0,
                    help="exponent for logzeta (default 2)")
     p.set_defaults(handler=cmd_table)

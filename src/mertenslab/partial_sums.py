@@ -177,7 +177,7 @@ def meissel_mertens_from_series(table: SieveTable,
     table.check_range(prime_limit)
     ps = table.primes_upto(prime_limit).astype(np.float64)
     terms = np.log1p(-1.0 / ps) + 1.0 / ps
-    value = fsum([EULER_GAMMA] + terms.tolist())
+    value = fsum(np.concatenate(([EULER_GAMMA], terms)))
     return ConstantEstimate("meissel-mertens", value,
                             route="gamma-plus-prime-series",
                             error_bound=1.0 / prime_limit)

@@ -2,10 +2,11 @@
 
 Every other module queries a SieveTable: the SPF array answers factor
 structure in O(log n) per integer, the prime list answers counting and
-enumeration, and primes_upto(x) is the one way to the primes <= x. Construction is segmented so cache behaviour stays flat at
-large limits; the finished table is immutable. Largest prime factors
-over a range come from one memoized pass over the SPF chains
-(largest_factor_range).
+enumeration, and primes_upto(x) is the one way to the primes <= x.
+build_sieve(limit) is the one way to a table. Construction is segmented
+so cache behaviour stays flat at large limits; the finished table is
+immutable. Largest prime factors over a range come from one memoized
+pass over the SPF chains (largest_factor_range).
 """
 
 import math
@@ -15,13 +16,10 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 
-DEFAULT_SEGMENT = 1 << 18
+SEGMENT = 1 << 18
 LPF_CHUNK = 1 << 18
 MAX_LIMIT = 1 << 40
-DEFAULT_MEMORY_BUDGET = 3 << 30
-
-CACHE_MAGIC = int.from_bytes(b"MRTNSLB1", "little")
-CACHE_VERSION = 2
+MEMORY_BUDGET = 3 << 30
 
 
 @dataclass(frozen=True)
@@ -72,26 +70,25 @@ def _base_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def build_sieve(limit: int, segment_size: int = DEFAULT_SEGMENT,
-                memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SieveTable:
+def build_sieve(limit: int) -> SieveTable:
     """Build the SPF table and prime list for 2..limit.
 
-    The result is bit-identical for any segment_size: segments cover
+    The result is bit-identical for any SEGMENT >= 2: segments cover
     disjoint ranges and base primes are applied smallest-first, so each
-    slot is claimed exactly once by its smallest prime factor.
+    slot is claimed exactly once by its smallest prime factor. A table
+    whose estimated size exceeds MEMORY_BUDGET raises ResourceError
+    before anything is allocated.
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    if segment_size < 2:
-        raise DomainError(f"segment size must be >= 2, got {segment_size}")
     if limit > MAX_LIMIT:
         raise DomainError(f"limit {limit} exceeds the 2^40 indexing ceiling")
     required = estimate_table_bytes(limit)
-    if required > memory_budget:
+    if required > MEMORY_BUDGET:
         raise ResourceError(
             f"sieve at limit {limit} needs ~{required} bytes "
-            f"(budget {memory_budget})",
-            required_bytes=required, budget_bytes=memory_budget)
+            f"(budget {MEMORY_BUDGET})",
+            required_bytes=required, budget_bytes=MEMORY_BUDGET)
 
     dtype = np.uint32 if limit < 2**32 else np.int64
     spf = np.zeros(limit + 1, dtype=dtype)
@@ -99,8 +96,8 @@ def build_sieve(limit: int, segment_size: int = DEFAULT_SEGMENT,
     base_list = [int(p) for p in base]
     prime_chunks: list[np.ndarray] = []
 
-    for lo in range(2, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
+    for lo in range(2, limit + 1, SEGMENT):
+        hi = min(lo + SEGMENT, limit + 1)
         view = spf[lo:hi]
         for p in base_list:
             if p * p >= hi:
@@ -183,43 +180,3 @@ def largest_factor_range(table: SieveTable, lo: int, hi: int) -> np.ndarray:
         np.maximum(p, out[cofactor], out=out[start:stop])
         start = stop
     return out[lo:hi]
-
-
-def write_prime_cache(path, table: SieveTable) -> None:
-    """Binary prime-list cache: LE u64 header (magic, version, limit,
-    prime count), then the primes as LE i64."""
-    header = np.array([CACHE_MAGIC, CACHE_VERSION, table.limit,
-                       table.primes.size], dtype="<u8")
-    with open(path, "wb") as fh:
-        header.tofile(fh)
-        table.primes.astype("<i8").tofile(fh)
-
-
-def read_prime_cache(path, expected_limit: int | None = None):
-    """Load a prime cache, validating magic/version/limit before use.
-
-    Returns (limit, primes). A wrong magic or version, a payload that is
-    not exactly the header's prime count of i64 records, or a limit
-    mismatch raises DomainError.
-    """
-    with open(path, "rb") as fh:
-        header = np.fromfile(fh, dtype="<u8", count=4)
-        if header.size < 2 or int(header[0]) != CACHE_MAGIC:
-            raise DomainError(f"{path}: not a prime cache (bad magic)")
-        if int(header[1]) != CACHE_VERSION:
-            raise DomainError(f"{path}: unsupported cache version {header[1]}")
-        if header.size != 4:
-            raise DomainError(f"{path}: truncated cache header")
-        limit, count = int(header[2]), int(header[3])
-        if expected_limit is not None and limit != expected_limit:
-            raise DomainError(
-                f"{path}: cache limit {limit} != requested {expected_limit}")
-        payload = fh.read()
-    if len(payload) != 8 * count:
-        raise DomainError(
-            f"{path}: payload of {len(payload)} bytes, header says "
-            f"{count} primes")
-    primes = np.frombuffer(payload, dtype="<i8")
-    if primes.size and (primes[-1] > limit or primes[0] != 2):
-        raise DomainError(f"{path}: cache payload inconsistent with header")
-    return limit, primes.astype(np.int64)

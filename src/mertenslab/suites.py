@@ -217,7 +217,8 @@ _SUITE_BUILDERS = {
 def build_checks(table: SieveTable, selection: list[str],
                  tolerance_overrides: dict[str, float] | None = None) -> list:
     tols = resolve_tolerances(tolerance_overrides)
-    names = list(SUITE_NAMES) if "all" in selection else selection
+    # each suite runs once, in first-seen order, however often it is named
+    names = SUITE_NAMES if "all" in selection else dict.fromkeys(selection)
     for name in names:
         if name not in _SUITE_BUILDERS:
             raise DomainError(f"unknown suite '{name}' "

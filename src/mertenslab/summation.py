@@ -12,6 +12,7 @@ there. Against a monotone curve the gap on a piece is extreme at one of
 its ends, so those points stand for every integer in range.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,9 +21,16 @@ CUMSUM_BLOCK = 4096
 
 
 def fsum(values) -> float:
-    """Exactly rounded sum of an iterable or array of floats."""
+    """Exactly rounded sum of an iterable or 1-d array of floats.
+
+    An array is fed to math.fsum in CUMSUM_BLOCK-sized chunks, one call
+    over the same sequence, so it costs O(CUMSUM_BLOCK) Python floats
+    rather than a list as long as the array.
+    """
     if isinstance(values, np.ndarray):
-        values = values.tolist()
+        return math.fsum(itertools.chain.from_iterable(
+            values[start:start + CUMSUM_BLOCK].tolist()
+            for start in range(0, values.size, CUMSUM_BLOCK)))
     return math.fsum(values)
 
 
@@ -47,7 +55,7 @@ def compensated_cumsum(values) -> np.ndarray:
         offset = math.fsum(partials)
         np.cumsum(chunk, out=out[start:start + chunk.size])
         out[start:start + chunk.size] += offset
-        partials.append(math.fsum(chunk.tolist()))
+        partials.append(fsum(chunk))
     return out
 
 

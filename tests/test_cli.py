@@ -31,13 +31,6 @@ def test_sieve_limit_guard(capsys):
     assert code == 2
     assert "limit" in err
 
-def test_sieve_cache_env_dir(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("MERTENSLAB_CACHE_DIR", str(tmp_path))
-    code, out, _ = run_cli(capsys, "sieve", "--limit", "1000",
-                           "--cache", "p.bin")
-    assert code == 0
-    assert (tmp_path / "p.bin").exists()
-
 def test_table_recip_primes_golden(capsys):
     code, out, _ = run_cli(capsys, "table", "--func", "recip-primes",
                            "--xs", "10")
@@ -64,10 +57,13 @@ def test_table_unknown_function(capsys):
     code, _, _ = run_cli(capsys, "table", "--func", "nope", "--xs", "10")
     assert code == 2
 
-def test_table_limit_too_small(capsys):
-    code, _, _ = run_cli(capsys, "table", "--func", "psi", "--xs", "10,100",
-                         "--limit", "50")
-    assert code == 2
+def test_table_recip_primes_below_two(capsys):
+    # an x outside the table is a usage error, not a verification failure
+    for xs in ("1,10", "0,10", "-5,10"):
+        code, out, err = run_cli(capsys, "table", "--func", "recip-primes",
+                                 "--xs=" + xs)
+        assert (xs, code, out) == (xs, 2, "")
+        assert err.startswith("error: ") and "outside" in err
 
 def test_table_json_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "rows.json"
@@ -146,6 +142,22 @@ def test_verify_tiny_limits(capsys):
             for line in out.splitlines():
                 lo, hi = line.split("range=[")[1].split("]")[0].split(",")
                 assert int(lo) <= int(hi), line
+
+def test_verify_repeated_suite_runs_once(capsys, tmp_path):
+    # each suite runs once, in the order it was first named
+    paths = [tmp_path / "density.json", tmp_path / "identities.json",
+             tmp_path / "repeated.json"]
+    runs = [run_cli(capsys, "verify", *suites, "--limit", "1000",
+                    "--out", str(path))
+            for suites, path in zip(
+                (("--suite", "density"), ("--suite", "identities"),
+                 ("--suite", "density", "--suite", "identities",
+                  "--suite", "density")), paths)]
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    assert runs[2][1] == runs[0][1] + runs[1][1]
+    density, identities, repeated = (
+        json.loads(path.read_text())["outcomes"] for path in paths)
+    assert repeated == density + identities
 
 def test_verify_thread_count_invariant(capsys):
     base = ("verify", "--suite", "all", "--limit", "20000")

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mertenslab import sieve
 from mertenslab.errors import DomainError, ResourceError
 from mertenslab.sieve import (
     MAX_LIMIT,
@@ -13,18 +15,16 @@ from mertenslab.sieve import (
     largest_factor_range,
     largest_prime_factor,
     nth_prime,
-    read_prime_cache,
-    write_prime_cache,
 )
 
 from oracles import trial_factorize, trial_largest_factor, trial_primes
 
 
 def test_build_sieve_examples():
-    assert build_sieve(10, 4).primes.tolist() == trial_primes(10) \
+    assert build_sieve(10).primes.tolist() == trial_primes(10) \
         == [2, 3, 5, 7]
-    assert build_sieve(2, 2).primes.tolist() == [2]
-    assert build_sieve(100, 32).primes.size == len(trial_primes(100)) == 25
+    assert build_sieve(2).primes.tolist() == [2]
+    assert build_sieve(100).primes.size == len(trial_primes(100)) == 25
 
 
 def test_spf_invariants(table_1e4):
@@ -47,14 +47,18 @@ def test_prime_list_strictly_increasing(table_1e4):
 @settings(max_examples=60, deadline=None)
 @given(limit=st.integers(2, 3000), segment=st.integers(2, 4096))
 def test_segment_size_independence(limit, segment):
-    reference = build_sieve(limit, limit)
-    table = build_sieve(limit, segment)
+    reference = build_sieve(limit)      # one segment: SEGMENT > 3000
+    with mock.patch.object(sieve, "SEGMENT", segment):
+        table = build_sieve(limit)
     assert np.array_equal(reference.spf, table.spf)
     assert np.array_equal(reference.primes, table.primes)
 
 
 def test_segment_size_independence_large():
-    tables = [build_sieve(10 ** 5, s) for s in (2, 7, 64, 10 ** 5)]
+    tables = []
+    for segment in (2, 7, 64, 10 ** 5):
+        with mock.patch.object(sieve, "SEGMENT", segment):
+            tables.append(build_sieve(10 ** 5))
     for other in tables[1:]:
         assert np.array_equal(tables[0].spf, other.spf)
         assert np.array_equal(tables[0].primes, other.primes)
@@ -134,9 +138,7 @@ def test_primes_upto_is_the_prefix(table_1e4, x):
 
 def test_domain_errors(table_1e4):
     with pytest.raises(DomainError):
-        build_sieve(1, 2)
-    with pytest.raises(DomainError):
-        build_sieve(10, 1)
+        build_sieve(1)
     with pytest.raises(DomainError):
         build_sieve(MAX_LIMIT + 1)
     with pytest.raises(DomainError):
@@ -156,10 +158,11 @@ def test_domain_errors(table_1e4):
 
 
 def test_resource_error_reports_bytes():
+    # the estimate exceeds the budget, so nothing is allocated
     with pytest.raises(ResourceError) as err:
-        build_sieve(10 ** 7, memory_budget=1000)
-    assert err.value.required_bytes > 1000
-    assert err.value.budget_bytes == 1000
+        build_sieve(10 ** 9)
+    assert err.value.required_bytes > sieve.MEMORY_BUDGET
+    assert err.value.budget_bytes == sieve.MEMORY_BUDGET
 
 
 def test_table_is_immutable(table_1e4):
@@ -167,38 +170,3 @@ def test_table_is_immutable(table_1e4):
         table_1e4.spf[2] = 7
     with pytest.raises(ValueError):
         table_1e4.primes[0] = 3
-
-
-def test_prime_cache_roundtrip(tmp_path, table_1e4):
-    path = tmp_path / "primes.bin"
-    write_prime_cache(path, table_1e4)
-    limit, primes = read_prime_cache(path, expected_limit=10 ** 4)
-    assert limit == 10 ** 4
-    assert np.array_equal(primes, table_1e4.primes)
-
-
-def test_prime_cache_validation(tmp_path, table_1e4):
-    path = tmp_path / "primes.bin"
-    write_prime_cache(path, table_1e4)
-    with pytest.raises(DomainError):
-        read_prime_cache(path, expected_limit=500)
-    bogus = tmp_path / "bogus.bin"
-    bogus.write_bytes(b"\x00" * 64)
-    with pytest.raises(DomainError):
-        read_prime_cache(bogus)
-    truncated = tmp_path / "short.bin"
-    truncated.write_bytes(path.read_bytes()[:8])
-    with pytest.raises(DomainError):
-        read_prime_cache(truncated)
-    small = tmp_path / "small.bin"
-    write_prime_cache(small, build_sieve(100))      # 25 primes
-    whole = small.read_bytes()
-    for cut in (3 * 8, 5):      # three whole records, part of one
-        truncated.write_bytes(whole[:-cut])
-        with pytest.raises(DomainError):
-            read_prime_cache(truncated)
-    v1 = tmp_path / "v1.bin"    # (magic, 1, limit), no prime count
-    v1.write_bytes(whole[:8] + (1).to_bytes(8, "little") + whole[16:24]
-                   + whole[32:])
-    with pytest.raises(DomainError):
-        read_prime_cache(v1)

@@ -1,0 +1,35 @@
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mertenslab.summation import CUMSUM_BLOCK, fsum
+
+
+def _mixed(n: int) -> np.ndarray:
+    # magnitudes from 1e-300 to 1e300 with both signs: a plain sum drifts
+    rng = np.random.default_rng(n)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, CUMSUM_BLOCK - 1, CUMSUM_BLOCK,
+                               CUMSUM_BLOCK + 1, 3 * CUMSUM_BLOCK + 7,
+                               664579])
+def test_fsum_matches_whole_list(n):
+    # the chunked array path feeds math.fsum the same sequence
+    for values in (_mixed(n), 1.0 / np.arange(1, n + 1, dtype=np.float64)):
+        assert fsum(values).hex() == math.fsum(values.tolist()).hex()
+
+
+def test_fsum_memory_is_one_chunk():
+    values = np.random.default_rng(0).random(10 ** 6)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fsum(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10 ** 6
+
