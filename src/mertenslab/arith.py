@@ -13,7 +13,7 @@ from collections import defaultdict
 import numpy as np
 
 from .errors import DomainError
-from .outcomes import VerificationOutcome, Witness
+from .outcomes import VerificationOutcome, Witness, worst_case
 from .sieve import Factorization, SieveTable, factorize
 from .summation import (_jump_cumulative, compensated_cumsum, fsum,
                          piece_ends, step_values)
@@ -132,23 +132,20 @@ def verify_log_sum_identity(table: SieveTable, k: int,
 
 def chebyshev_psi(table: SieveTable, x: int) -> float:
     """Cumulative Lambda mass up to x (0 below 2)."""
-    if not 0 <= x <= table.limit:
-        raise DomainError(f"x={x} outside [0, {table.limit}]")
+    table.check_range(x, lo=0)
     _, logs = prime_power_terms(table, x)
     return fsum(logs)
 
 
 def theta_log_primorial(table: SieveTable, k: int) -> float:
     """log of the primorial: sum of log p over primes p <= k."""
-    if not 0 <= k <= table.limit:
-        raise DomainError(f"k={k} outside [0, {table.limit}]")
+    table.check_range(k, lo=0)
     return fsum(np.log(table.primes_upto(k).astype(np.float64)))
 
 
 def prime_count(table: SieveTable, x: int) -> int:
     """pi(x) by binary search in the prime list."""
-    if not 0 <= x <= table.limit:
-        raise DomainError(f"x={x} outside [0, {table.limit}]")
+    table.check_range(x, lo=0)
     return table.primes_upto(x).size
 
 
@@ -208,8 +205,7 @@ def verify_selberg_identity(table: SieveTable, n: int,
 
 def lambda_values(table: SieveTable, x: int) -> np.ndarray:
     """Lambda(n) for n = 0..x as a float64 array."""
-    if not 0 <= x <= table.limit:
-        raise DomainError(f"x={x} outside [0, {table.limit}]")
+    table.check_range(x, lo=0)
     arr = np.zeros(x + 1, dtype=np.float64)
     ms, logs = prime_power_terms(table, x)
     arr[ms] = logs
@@ -223,8 +219,7 @@ def psi_table(table: SieveTable, x: int) -> np.ndarray:
 
 def theta_table(table: SieveTable, x: int) -> np.ndarray:
     """theta(n) for n = 0..x, one compensated prefix pass."""
-    if not 0 <= x <= table.limit:
-        raise DomainError(f"x={x} outside [0, {table.limit}]")
+    table.check_range(x, lo=0)
     arr = np.zeros(x + 1, dtype=np.float64)
     ps = table.primes_upto(x)
     arr[ps] = np.log(ps.astype(np.float64))
@@ -233,8 +228,7 @@ def theta_table(table: SieveTable, x: int) -> np.ndarray:
 
 def pi_count_table(table: SieveTable, x: int) -> np.ndarray:
     """pi(n) for n = 0..x as an int64 array."""
-    if not 0 <= x <= table.limit:
-        raise DomainError(f"x={x} outside [0, {table.limit}]")
+    table.check_range(x, lo=0)
     arr = np.zeros(x + 1, dtype=np.int64)
     arr[table.primes_upto(x)] = 1
     return np.cumsum(arr)
@@ -257,8 +251,7 @@ def divisor_lambda_sums(table: SieveTable, x: int) -> np.ndarray:
     multiples, which reorganizes the floor(n/m) double count without
     ever invoking the log identity being tested.
     """
-    if not 0 <= x <= table.limit:
-        raise DomainError(f"x={x} outside [0, {table.limit}]")
+    table.check_range(x, lo=0)
     arr = np.zeros(x + 1, dtype=np.float64)
     ms, logs = prime_power_terms(table, x)
     for m, lp in zip(ms.tolist(), logs.tolist()):
@@ -272,19 +265,15 @@ def log_sum_identity_sweep(table: SieveTable, k_max: int,
     sums = divisor_lambda_sums(table, k_max)
     ks = np.arange(2, k_max + 1, dtype=np.float64)
     rel = np.abs(sums[2:] - np.log(ks)) / np.log(ks)
-    worst = int(np.argmax(rel))
-    witness = Witness(input=worst + 2, lhs=float(rel[worst]), rhs=rel_tol,
-                      margin=rel_tol - float(rel[worst]))
-    return VerificationOutcome("log-sum-identity", (1, k_max),
-                               bool(np.all(rel <= rel_tol)), witness)
+    return worst_case("log-sum-identity", (1, k_max), ks, rel, rel_tol,
+                      rel_tol - rel)
 
 
 def legendre_exact_sweep(table: SieveTable, n_max: int) -> VerificationOutcome:
     """Exact check: Legendre's valuation of each prime p in n! equals the
     exponent accumulated by factorizing 2..n, for every n <= n_max and
     every p <= n. Integer equality, zero tolerance."""
-    if not 2 <= n_max <= table.limit:
-        raise DomainError(f"n_max={n_max} outside [2, {table.limit}]")
+    table.check_range(n_max)
     positions: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for k in range(2, n_max + 1):
         for p, e in factorize(table, k).factors:
@@ -319,57 +308,40 @@ def legendre_exact_sweep(table: SieveTable, n_max: int) -> VerificationOutcome:
 def logfact_dual_route_sweep(table: SieveTable, n_max: int,
                              rel_tol: float = 1e-11) -> VerificationOutcome:
     """Direct log(n!) against the prime-power route for every n <= n_max."""
-    if not 2 <= n_max <= table.limit:
-        raise DomainError(f"n_max={n_max} outside [2, {table.limit}]")
+    table.check_range(n_max)
     direct = log_factorial_table(n_max)
     via = compensated_cumsum(divisor_lambda_sums(table, n_max))
     rel = np.abs(direct[2:] - via[2:]) / direct[2:]
-    worst = int(np.argmax(rel))
-    witness = Witness(input=worst + 2, lhs=float(rel[worst]), rhs=rel_tol,
-                      margin=rel_tol - float(rel[worst]))
-    return VerificationOutcome("log-factorial-dual-route", (2, n_max),
-                               bool(np.all(rel <= rel_tol)), witness)
+    return worst_case("log-factorial-dual-route", (2, n_max),
+                      np.arange(2, n_max + 1), rel, rel_tol, rel_tol - rel)
 
 
 def selberg_sweep(table: SieveTable, n_max: int,
                   abs_tol: float = 1e-9) -> VerificationOutcome:
     """Selberg identity by brute-force divisor enumeration, n <= n_max."""
-    if not 1 <= n_max <= table.limit:
-        raise DomainError(f"n_max={n_max} outside [1, {table.limit}]")
+    table.check_range(n_max, lo=1)
     lam = lambda_values(table, n_max)
     logs = np.zeros(n_max + 1, dtype=np.float64)
     logs[1:] = np.log(np.arange(1, n_max + 1, dtype=np.float64))
-    worst = Witness(input=1, lhs=0.0, rhs=abs_tol, margin=abs_tol)
-    ok = True
+    diffs = np.zeros(n_max, dtype=np.float64)    # diffs[n - 1]; 0.0 at n = 1
     for n in range(2, n_max + 1):
         divs = divisors(factorize(table, n))
         lhs = float(lam[n]) * float(logs[n]) + math.fsum(
             float(lam[d] * lam[n // d]) for d in divs)
-        rhs = generalized_lambda(table, n, 2)
-        diff = abs(lhs - rhs)
-        margin = abs_tol - diff
-        if margin < worst.margin:
-            worst = Witness(input=n, lhs=diff, rhs=abs_tol, margin=margin)
-            if margin < 0:
-                ok = False
-    return VerificationOutcome("selberg-identity", (1, n_max), ok, worst)
+        diffs[n - 1] = abs(lhs - generalized_lambda(table, n, 2))
+    return worst_case("selberg-identity", (1, n_max), np.arange(1, n_max + 1),
+                      diffs, abs_tol, abs_tol - diffs)
 
 
 def generalized_lambda_k1_sweep(table: SieveTable, n_max: int,
                                 abs_tol: float = 1e-12) -> VerificationOutcome:
     """Lambda_1 must coincide with the point von Mangoldt values."""
-    if not 1 <= n_max <= table.limit:
-        raise DomainError(f"n_max={n_max} outside [1, {table.limit}]")
-    worst = Witness(input=1, lhs=0.0, rhs=abs_tol, margin=abs_tol)
-    ok = True
-    for n in range(1, n_max + 1):
-        diff = abs(generalized_lambda(table, n, 1) - von_mangoldt(table, n))
-        margin = abs_tol - diff
-        if margin < worst.margin:
-            worst = Witness(input=n, lhs=diff, rhs=abs_tol, margin=margin)
-            if margin < 0:
-                ok = False
-    return VerificationOutcome("generalized-lambda-k1", (1, n_max), ok, worst)
+    table.check_range(n_max, lo=1)
+    diffs = np.array([abs(generalized_lambda(table, n, 1)
+                          - von_mangoldt(table, n))
+                      for n in range(1, n_max + 1)])
+    return worst_case("generalized-lambda-k1", (1, n_max),
+                      np.arange(1, n_max + 1), diffs, abs_tol, abs_tol - diffs)
 
 
 def psi_theta_dominance_sweep(table: SieveTable, x_max: int,
@@ -380,8 +352,7 @@ def psi_theta_dominance_sweep(table: SieveTable, x_max: int,
     Both are constant between prime powers, so their values at the ends
     of those pieces cover every integer in [2, x_max].
     """
-    if not 2 <= x_max <= table.limit:
-        raise DomainError(f"x_max={x_max} outside [2, {table.limit}]")
+    table.check_range(x_max)
     ms, logs = prime_power_terms(table, x_max)
     # prime power list is primes first, then k >= 2 powers
     n_primes = table.primes_upto(x_max).size

@@ -19,7 +19,7 @@ import numpy as np
 
 from .arith import log_factorial_table, prime_power_terms
 from .errors import DomainError
-from .outcomes import VerificationOutcome, Witness
+from .outcomes import VerificationOutcome, Witness, worst_case
 from .partial_sums import mertens_bound_sweep
 from .sieve import SieveTable
 from .summation import (_jump_cumulative, compensated_cumsum, piece_ends,
@@ -27,17 +27,6 @@ from .summation import (_jump_cumulative, compensated_cumsum, piece_ends,
 
 LOG4 = math.log(4.0)
 SLACK = 1e-9
-
-
-def _worst(margins: np.ndarray, inputs: np.ndarray, lhs: np.ndarray,
-           rhs: np.ndarray) -> Witness:
-    j = int(np.argmin(margins))
-    return Witness(input=int(inputs[j]), lhs=float(lhs[j]), rhs=float(rhs[j]),
-                   margin=float(margins[j]))
-
-
-def _merge(a: Witness, b: Witness) -> Witness:
-    return a if a.margin <= b.margin else b
 
 
 def check_binomial_bounds(n_max: int) -> VerificationOutcome:
@@ -52,17 +41,19 @@ def check_binomial_bounds(n_max: int) -> VerificationOutcome:
     logc = lf[2 * ns] - 2.0 * lf[ns]
     cap = ns * LOG4
     floor = cap - np.log(2.0 * ns + 1.0)
-    upper = _worst(cap - logc, ns, logc, cap)
-    lower = _worst(logc - floor, ns, floor, logc)
-    worst = _merge(upper, lower)
-    ok = worst.margin >= -SLACK
+    out = min(
+        worst_case("binomial-bounds", (1, n_max), ns, logc, cap, cap - logc,
+                   -SLACK),
+        worst_case("binomial-bounds", (1, n_max), ns, floor, logc,
+                   logc - floor, -SLACK),
+        key=lambda o: o.worst_witness.margin)
     for n in range(1, min(30, n_max) + 1):
         c = math.comb(2 * n, n)
         if not (4 ** n <= c * (2 * n + 1) and c <= 4 ** n):
-            ok = False
-            worst = Witness(input=n, lhs=float(c), rhs=float(4 ** n),
-                            margin=-1.0)
-    return VerificationOutcome("binomial-bounds", (1, n_max), ok, worst)
+            out = VerificationOutcome("binomial-bounds", (1, n_max), False,
+                                      Witness(input=n, lhs=float(c),
+                                              rhs=float(4 ** n), margin=-1.0))
+    return out
 
 
 def check_psi_dyadic(table: SieveTable, n_max: int) -> VerificationOutcome:
@@ -79,9 +70,8 @@ def check_psi_dyadic(table: SieveTable, n_max: int) -> VerificationOutcome:
     gain = (step_values(psi, np.searchsorted(pos, 2 * ns, side="right"))
             - step_values(psi, np.searchsorted(pos, ns, side="right")))
     cap = 2.0 * ns * math.log(2.0)
-    worst = _worst(cap - gain, ns, gain, cap)
-    return VerificationOutcome("psi-dyadic", (1, n_max),
-                               worst.margin >= -SLACK, worst)
+    return worst_case("psi-dyadic", (1, n_max), ns, gain, cap, cap - gain,
+                      -SLACK)
 
 
 def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
@@ -91,18 +81,18 @@ def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
     psi is constant between prime powers while both lines grow, so the
     lower margin is tightest at a piece's right end, the upper at its left.
     """
-    if not 2 <= x_max <= table.limit:
-        raise DomainError(f"x_max={x_max} outside [2, {table.limit}]")
+    table.check_range(x_max)
     if not 0 < c1 < c2:
         raise DomainError(f"need 0 < c1 < c2, got ({c1}, {c2})")
     pos, psi = _jump_cumulative(*prime_power_terms(table, x_max))
     xs, counts = piece_ends(pos, 2, x_max)
     vals = step_values(psi, counts)
-    lower = _worst(vals - c1 * xs, xs, c1 * xs, vals)
-    upper = _worst(c2 * xs - vals, xs, vals, c2 * xs)
-    worst = _merge(lower, upper)
-    return VerificationOutcome("psi-linear", (2, x_max),
-                               worst.margin >= -SLACK, worst)
+    return min(
+        worst_case("psi-linear", (2, x_max), xs, c1 * xs, vals,
+                   vals - c1 * xs, -SLACK),
+        worst_case("psi-linear", (2, x_max), xs, vals, c2 * xs,
+                   c2 * xs - vals, -SLACK),
+        key=lambda o: o.worst_witness.margin)
 
 
 def check_primorial_bound(table: SieveTable,
@@ -112,24 +102,23 @@ def check_primorial_bound(table: SieveTable,
     theta is constant between primes while the cap grows, so each piece
     is tightest at its left end.
     """
-    if not 1 <= k_max <= table.limit:
-        raise DomainError(f"k_max={k_max} outside [1, {table.limit}]")
+    table.check_range(k_max, lo=1)
     ps = table.primes_upto(k_max)
     theta = compensated_cumsum(np.log(ps.astype(np.float64)))
     ks, counts = piece_ends(ps, 1, k_max)
     vals = step_values(theta, counts)
     cap = ks * LOG4
-    worst = _worst(cap - vals, ks, vals, cap)
-    ok = worst.margin >= -SLACK
+    out = worst_case("primorial-bound", (1, k_max), ks, vals, cap,
+                     cap - vals, -SLACK)
     primorial = 1
     for k in range(1, min(60, k_max) + 1):
         if int(table.spf[k]) == k and k >= 2:
             primorial *= k
         if primorial > 4 ** k:
-            ok = False
-            worst = Witness(input=k, lhs=float(primorial),
-                            rhs=float(4 ** k), margin=-1.0)
-    return VerificationOutcome("primorial-bound", (1, k_max), ok, worst)
+            out = VerificationOutcome("primorial-bound", (1, k_max), False,
+                                      Witness(input=k, lhs=float(primorial),
+                                              rhs=float(4 ** k), margin=-1.0))
+    return out
 
 
 def check_interval_primorial(table: SieveTable,
@@ -150,8 +139,8 @@ def check_interval_primorial(table: SieveTable,
     gain = (step_values(theta, np.searchsorted(ps, 2 * ms + 1, side="right"))
             - step_values(theta, np.searchsorted(ps, ms + 1, side="right")))
     cap = ms * LOG4
-    worst = _worst(cap - gain, ms, gain, cap)
-    ok = worst.margin >= -SLACK
+    out = worst_case("interval-primorial", (1, m_max), ms, gain, cap,
+                     cap - gain, -SLACK)
     for m in range(1, min(30, m_max) + 1):
         prod = 1
         for p in range(m + 2, 2 * m + 2):
@@ -159,10 +148,10 @@ def check_interval_primorial(table: SieveTable,
                 prod *= p
         binom = math.comb(2 * m + 1, m + 1)
         if binom % prod != 0 or prod > 4 ** m:
-            ok = False
-            worst = Witness(input=m, lhs=float(prod), rhs=float(binom),
-                            margin=-1.0)
-    return VerificationOutcome("interval-primorial", (1, m_max), ok, worst)
+            out = VerificationOutcome("interval-primorial", (1, m_max), False,
+                                      Witness(input=m, lhs=float(prod),
+                                              rhs=float(binom), margin=-1.0))
+    return out
 
 
 def check_stirling_lower(m_max: int) -> VerificationOutcome:
@@ -173,9 +162,8 @@ def check_stirling_lower(m_max: int) -> VerificationOutcome:
     ms = np.arange(1, m_max + 1, dtype=np.int64)
     mf = ms.astype(np.float64)
     rhs = mf * (np.log(mf) - 1.0)
-    worst = _worst(lf[ms] - rhs, ms, rhs, lf[ms])
-    return VerificationOutcome("stirling-lower", (1, m_max),
-                               worst.margin > 0, worst)
+    return worst_case("stirling-lower", (1, m_max), ms, rhs, lf[ms],
+                      lf[ms] - rhs, strict=True)
 
 
 def check_pi_upper(table: SieveTable, n_max: int) -> VerificationOutcome:
@@ -184,13 +172,10 @@ def check_pi_upper(table: SieveTable, n_max: int) -> VerificationOutcome:
     The cap grows for n >= 3 and pi is constant between primes, so each
     piece is tightest at its left end.
     """
-    if not 3 <= n_max <= table.limit:
-        raise DomainError(f"n_max={n_max} outside [3, {table.limit}]")
+    table.check_range(n_max, lo=3)
     ns, pis = piece_ends(table.primes, 3, n_max)
     cap = math.e * ns / np.log(ns.astype(np.float64))
-    worst = _worst(cap - pis, ns, pis.astype(np.float64), cap)
-    return VerificationOutcome("pi-upper", (3, n_max), worst.margin >= 0,
-                               worst)
+    return worst_case("pi-upper", (3, n_max), ns, pis, cap, cap - pis)
 
 
 def check_dusart(table: SieveTable, n_max: int) -> VerificationOutcome:
@@ -204,8 +189,8 @@ def check_dusart(table: SieveTable, n_max: int) -> VerificationOutcome:
     pn = table.primes[5:n_max].astype(np.float64)
     nf = ns.astype(np.float64)
     cap = nf * np.log(nf) + nf * np.log(np.log(nf))
-    worst = _worst(cap - pn, ns, pn, cap)
-    return VerificationOutcome("dusart", (6, n_max), worst.margin > 0, worst)
+    return worst_case("dusart", (6, n_max), ns, pn, cap, cap - pn,
+                      strict=True)
 
 
 def check_reciprocal_lower(table: SieveTable,
@@ -215,17 +200,15 @@ def check_reciprocal_lower(table: SieveTable,
     S is constant between primes and the floor grows, so each piece is
     tightest at its right end.
     """
-    if not 2 <= n_max <= table.limit:
-        raise DomainError(f"n_max={n_max} outside [2, {table.limit}]")
+    table.check_range(n_max)
     ps = table.primes_upto(n_max)
     cum = compensated_cumsum(1.0 / ps.astype(np.float64))
     shift = math.log(math.pi * math.pi / 6.0)
     ns, counts = piece_ends(ps, 2, n_max)
     s_vals = step_values(cum, counts)
     floor = np.log(np.log(ns.astype(np.float64) + 1.0)) - shift
-    worst = _worst(s_vals - floor, ns, floor, s_vals)
-    return VerificationOutcome("reciprocal-lower", (2, n_max),
-                               worst.margin >= -SLACK, worst)
+    return worst_case("reciprocal-lower", (2, n_max), ns, floor, s_vals,
+                      s_vals - floor, -SLACK)
 
 
 def check_mertens_bound(table: SieveTable, n_max: int,

@@ -38,10 +38,14 @@ def _parse_tol(text: str) -> tuple[str, float]:
     if not sep or not name:
         raise argparse.ArgumentTypeError(f"expected name=value, got '{text}'")
     try:
-        return name, float(value)
+        number = float(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad tolerance value in '{text}'") \
             from exc
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite, got '{text}'")
+    return name, number
 
 
 def _thread_count(text: str) -> int:

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .outcomes import VerificationOutcome, Witness
+from .outcomes import VerificationOutcome, Witness, worst_case
 from .partial_sums import LOG2, ResidualReport, ResidualRow, _validate_xs
 from .sieve import LPF_CHUNK, SieveTable, largest_factor_range
 from .summation import fsum, piece_ends, step_values
@@ -201,30 +201,25 @@ def small_part_bound_sweep(table: SieveTable,
     them both margins grow with x (the upper one because
     pi(t) < 1.26 t / log t), so each piece is tightest at its left end.
     """
-    if not 10 <= x_max <= table.limit:
-        raise DomainError(f"x_max={x_max} outside [10, {table.limit}]")
+    table.check_range(x_max, lo=10)
     roots = table.primes_upto(math.isqrt(x_max))
     xs, idx = piece_ends(roots * roots, 10, x_max)
     small = step_values(np.cumsum(roots - 1), idx)
     sqrt_x = np.sqrt(xs.astype(np.float64))
     mid = idx * sqrt_x                      # pi(sqrt x) * sqrt x
     top = math.e * xs / np.log(sqrt_x)
-    m1 = mid - small
-    m2 = top - mid
-    j = int(np.argmin(np.minimum(m1, m2)))
-    if m1[j] <= m2[j]:
-        worst = Witness(int(xs[j]), float(small[j]), float(mid[j]),
-                        float(m1[j]))
-    else:
-        worst = Witness(int(xs[j]), float(mid[j]), float(top[j]),
-                        float(m2[j]))
-    return VerificationOutcome("small-part-bound", (10, x_max),
-                               worst.margin >= 0, worst)
+    return min(
+        worst_case("small-part-bound", (10, x_max), xs, small, mid,
+                   mid - small),
+        worst_case("small-part-bound", (10, x_max), xs, mid, top, top - mid),
+        key=lambda o: o.worst_witness.margin)
 
 
 def rough_tail_monotone_sweep(table: SieveTable,
                               k_max: int) -> VerificationOutcome:
     """|rough tail - log 2| strictly decreasing over decades 10^2..10^k."""
+    if k_max < 2:
+        raise DomainError(f"need k_max >= 2, got {k_max}")
     if 10 ** k_max > table.limit:
         raise DomainError(f"10^{k_max} exceeds table limit {table.limit}")
     resids = [abs(rough_tail_sum(table, 10 ** k) - LOG2)

@@ -1,6 +1,9 @@
-"""Report container for identity and inequality checks."""
+"""Report container for identity and inequality checks, and the one
+verdict rule every multi-case check goes through (worst_case)."""
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -29,3 +32,20 @@ class VerificationOutcome:
             line += (f" worst(input={w.input}, lhs={w.lhs!r},"
                      f" rhs={w.rhs!r}, margin={w.margin!r})")
         return line
+
+
+def worst_case(name: str, rng: tuple[int, int], inputs, lhs, rhs, margins,
+               floor: float = 0.0, strict: bool = False) -> VerificationOutcome:
+    """Outcome witnessed by the first case of smallest margin.
+
+    ``lhs`` and ``rhs`` may be scalars, broadcast over the cases. The check
+    passes when that margin is >= floor, or > floor when ``strict``.
+    """
+    j = int(np.argmin(margins))
+    margin = float(margins[j])
+    witness = Witness(input=int(inputs[j]),
+                      lhs=float(np.broadcast_to(lhs, np.shape(margins))[j]),
+                      rhs=float(np.broadcast_to(rhs, np.shape(margins))[j]),
+                      margin=margin)
+    passed = margin > floor if strict else margin >= floor
+    return VerificationOutcome(name, rng, passed, witness)

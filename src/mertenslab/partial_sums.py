@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import prime_power_terms
 from .errors import DomainError
-from .outcomes import VerificationOutcome, Witness
+from .outcomes import VerificationOutcome, Witness, worst_case
 from .sieve import SieveTable
 from .summation import (RunningSum, _jump_cumulative, fsum, piece_ends,
                          step_values)
@@ -185,7 +185,7 @@ def meissel_mertens_from_series(table: SieveTable,
 
 def log_zeta_truncation(table: SieveTable, s: float, n_max: int) -> float:
     """Truncated Dirichlet series of log zeta: Lambda(n)/(log n * n^s)."""
-    if s <= 1:
+    if not s > 1:
         raise DomainError(f"series requires s > 1, got {s}")
     table.check_range(n_max)
     ms, logs = prime_power_terms(table, n_max)
@@ -201,8 +201,7 @@ def lambda_sum_bound_sweep(table: SieveTable, x_max: int,
                            ceiling: float = 2.0) -> VerificationOutcome:
     """|sum Lambda(m)/m - log x| <= ceiling at every integer x in
     [10, x_max]."""
-    if not 10 <= x_max <= table.limit:
-        raise DomainError(f"x_max={x_max} outside [10, {table.limit}]")
+    table.check_range(x_max, lo=10)
     ms, logs = prime_power_terms(table, x_max)
     pos, cum = _jump_cumulative(ms, logs / ms.astype(np.float64))
     return _step_vs_log_sweep("lambda-sum-bound", pos, cum, 10, x_max,
@@ -212,8 +211,7 @@ def lambda_sum_bound_sweep(table: SieveTable, x_max: int,
 def mertens_bound_sweep(table: SieveTable, n_max: int,
                         ceiling: float = 2.0) -> VerificationOutcome:
     """|sum (log p)/p - log n| <= ceiling at every integer n in [2, n_max]."""
-    if not 2 <= n_max <= table.limit:
-        raise DomainError(f"n_max={n_max} outside [2, {table.limit}]")
+    table.check_range(n_max)
     ps = table.primes_upto(n_max)
     pf = ps.astype(np.float64)
     pos, cum = _jump_cumulative(ps, np.log(pf) / pf)
@@ -227,11 +225,7 @@ def _step_vs_log_sweep(name: str, pos: np.ndarray, cum: np.ndarray,
     piece and log n increases, so the deviation peaks at a piece end."""
     ns, counts = piece_ends(pos, lo, hi)
     dev = np.abs(step_values(cum, counts) - np.log(ns.astype(np.float64)))
-    j = int(np.argmax(dev))
-    margin = ceiling - float(dev[j])
-    worst = Witness(input=int(ns[j]), lhs=float(dev[j]), rhs=ceiling,
-                    margin=margin)
-    return VerificationOutcome(name, (lo, hi), margin >= 0, worst)
+    return worst_case(name, (lo, hi), ns, dev, ceiling, ceiling - dev)
 
 
 def lambda_mertens_gap_sweep(table: SieveTable, x_max: int,
@@ -241,8 +235,7 @@ def lambda_mertens_gap_sweep(table: SieveTable, x_max: int,
     The gap only jumps at higher prime powers (k >= 2), where it gains
     log p / p^k; checking every jump value covers every integer x.
     """
-    if not 2 <= x_max <= table.limit:
-        raise DomainError(f"x_max={x_max} outside [2, {table.limit}]")
+    table.check_range(x_max)
     ms, logs = prime_power_terms(table, x_max)
     # prime power list is primes first, then k >= 2 powers; split positionally
     n_primes = table.primes_upto(x_max).size

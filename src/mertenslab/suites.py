@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import arith, bounds, density, partial_sums
 from .errors import DomainError
-from .outcomes import VerificationOutcome, Witness
+from .outcomes import VerificationOutcome, Witness, worst_case
 from .sieve import SieveTable
 
 SUITE_NAMES = ("identities", "bounds", "asymptotics", "density")
@@ -111,21 +111,17 @@ def bounds_checks(table: SieveTable, tols: dict[str, float]) -> list:
 def _abel_exactness(table: SieveTable, xs: list[int],
                     rel_tol: float = 1e-12) -> VerificationOutcome:
     """Abel reconstruction of S(x) from log p/p weights, per sample x."""
-    worst = Witness(input=xs[0], lhs=0.0, rhs=rel_tol, margin=math.inf)
-    ok = True
     f = lambda t: 1.0 / math.log(t)
     fp = lambda t: -1.0 / (t * math.log(t) ** 2)
+    rels = []
     for x in xs:
         weights = [(p, math.log(p) / p)
                    for p in table.primes_upto(x).tolist()]
         got = partial_sums.abel_summation(weights, f, fp, 2.0, float(x))
         ref = partial_sums.reciprocal_prime_sum(table, x)
-        rel = abs(got - ref) / ref
-        if rel_tol - rel < worst.margin:
-            worst = Witness(input=x, lhs=rel, rhs=rel_tol,
-                            margin=rel_tol - rel)
-            ok = worst.margin >= 0
-    return VerificationOutcome("abel-exactness", (xs[0], xs[-1]), ok, worst)
+        rels.append(abs(got - ref) / ref)
+    return worst_case("abel-exactness", (xs[0], xs[-1]), xs, rels, rel_tol,
+                      [rel_tol - rel for rel in rels])
 
 
 def _mm_route_agreement(table: SieveTable) -> VerificationOutcome:

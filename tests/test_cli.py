@@ -208,3 +208,22 @@ def test_console_entrypoint_subprocess():
         env={**os.environ, "PYTHONHASHSEED": "0"})
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "10 primes"
+
+def test_verify_rejects_non_finite_tol(capsys, monkeypatch):
+    # inf would switch a gate off and nan would put NaN into the --out JSON
+    def no_table(*args, **kwargs):
+        raise AssertionError("sieve built for a non-finite tolerance")
+
+    monkeypatch.setattr(cli, "build_sieve", no_table)
+    for value in ("nan", "inf", "-inf"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "bounds",
+                                 "--limit", "1000", "--tol",
+                                 "mertens1-bound=" + value)
+        assert (value, code, out) == (value, 2, "")
+        assert "finite" in err
+
+def test_table_logzeta_rejects_nan_s(capsys):
+    code, out, err = run_cli(capsys, "table", "--func", "logzeta",
+                             "--xs", "100", "--s", "nan")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "s > 1" in err

@@ -121,6 +121,12 @@ def test_sweeps(table_1e5):
     assert D.rough_tail_monotone_sweep(table_1e5, 5).passed
 
 
+def test_rough_tail_monotone_needs_two_decades(table_1e4):
+    for k_max in (1, 0, -1):
+        with pytest.raises(DomainError):
+            D.rough_tail_monotone_sweep(table_1e4, k_max)
+
+
 def test_split_interval_floor_identity(table_1e4):
     # any prime between sqrt x and the split point forces floor(x/p) = p - 1
     for x in range(2, 5000):

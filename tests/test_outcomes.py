@@ -1,0 +1,76 @@
+import numpy as np
+import pytest
+
+from mertenslab import arith, bounds, density, partial_sums
+from mertenslab.errors import DomainError
+from mertenslab.outcomes import Witness, worst_case
+
+
+def test_worst_case_first_smallest_margin():
+    out = worst_case("c", (1, 4), np.arange(1, 5), np.zeros(4), np.ones(4),
+                     np.array([3.0, 1.0, 2.0, 1.0]))
+    assert out.passed
+    assert out.worst_witness == Witness(input=2, lhs=0.0, rhs=1.0, margin=1.0)
+
+
+@pytest.mark.parametrize("margin, floor, strict, passed", [
+    (0.0, 0.0, False, True),
+    (0.0, 0.0, True, False),
+    (-1e-9, -1e-9, False, True),
+    (-1e-9, -1e-9, True, False),
+    (-2e-9, -1e-9, False, False),
+    (5e-324, 0.0, True, True),
+])
+def test_worst_case_floor_and_strict(margin, floor, strict, passed):
+    out = worst_case("c", (1, 2), [1, 2], 0.0, 0.0, np.array([1.0, margin]),
+                     floor=floor, strict=strict)
+    assert out.passed is passed
+    assert out.worst_witness.margin == margin
+
+
+def test_worst_case_scalar_sides_broadcast():
+    rel = np.array([1e-13, 4e-13, 2e-13])
+    out = worst_case("c", (2, 4), np.arange(2, 5), rel, 1e-12, 1e-12 - rel)
+    w = out.worst_witness
+    assert (w.input, w.lhs, w.rhs, w.margin) == (3, 4e-13, 1e-12,
+                                                 1e-12 - 4e-13)
+    assert type(w.input) is int and type(w.rhs) is float
+    out = worst_case("c", (5, 6), [5, 6], 7, 2.5, np.array([-4.5, -4.5]))
+    assert not out.passed
+    assert out.worst_witness == Witness(input=5, lhs=7.0, rhs=2.5,
+                                        margin=-4.5)
+
+
+def test_two_sided_tie_keeps_first_side():
+    # the two-sided checks keep the side with the smaller margin; on a tie
+    # the side listed first wins
+    upper = worst_case("c", (1, 2), [1, 2], 0.0, 1.0, np.array([0.5, 0.25]))
+    lower = worst_case("c", (1, 2), [1, 2], 2.0, 3.0, np.array([0.25, 0.5]))
+    by_margin = lambda o: o.worst_witness.margin
+    assert min(upper, lower, key=by_margin) is upper
+    assert min(lower, upper, key=by_margin) is lower
+
+
+GUARDED = [
+    (arith.chebyshev_psi, 0), (arith.theta_log_primorial, 0),
+    (arith.prime_count, 0), (arith.lambda_values, 0),
+    (arith.theta_table, 0), (arith.pi_count_table, 0),
+    (arith.divisor_lambda_sums, 0), (arith.legendre_exact_sweep, 2),
+    (arith.logfact_dual_route_sweep, 2), (arith.selberg_sweep, 1),
+    (arith.generalized_lambda_k1_sweep, 1),
+    (arith.psi_theta_dominance_sweep, 2),
+    (bounds.check_psi_linear, 2), (bounds.check_primorial_bound, 1),
+    (bounds.check_pi_upper, 3), (bounds.check_reciprocal_lower, 2),
+    (density.small_part_bound_sweep, 10),
+    (partial_sums.lambda_sum_bound_sweep, 10),
+    (partial_sums.mertens_bound_sweep, 2),
+    (partial_sums.lambda_mertens_gap_sweep, 2),
+]
+
+
+@pytest.mark.parametrize("fn, lo", GUARDED, ids=[f.__name__ for f, _ in GUARDED])
+def test_table_range_guard(table_1e4, fn, lo):
+    for v in (lo - 1, table_1e4.limit + 1):
+        with pytest.raises(DomainError) as exc:
+            fn(table_1e4, v)
+        assert str(exc.value) == f"n={v} outside [{lo}, {table_1e4.limit}]"
