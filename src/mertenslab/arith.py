@@ -6,7 +6,6 @@ Selberg / generalized von Mangoldt divisor sums, plus the vectorized
 sweep variants the verification suites run over exhaustive ranges.
 """
 
-import itertools
 import math
 from collections import defaultdict
 
@@ -174,13 +173,16 @@ def generalized_lambda(table: SieveTable, n: int, k: int) -> float:
     if n == 1:
         return 0.0
     ps = [p for p, _ in factorize(table, n).factors]
-    terms = []
-    for r in range(len(ps) + 1):
-        sign = -1.0 if r % 2 else 1.0
-        for combo in itertools.combinations(ps, r):
-            d = math.prod(combo)
-            terms.append(sign * math.log(n // d) ** k)
-    return fsum(terms)
+    return fsum(_mobius_log_terms(n, ps, k))
+
+
+def _mobius_log_terms(n: int, ps: list[int], k: int) -> list[float]:
+    """mu(d) log^k(n/d) for every squarefree divisor d of n, whose
+    distinct primes are ps; d runs over subsets of ps built by doubling."""
+    divs = [(1.0, 1)]
+    for p in ps:
+        divs += [(-mu, d * p) for mu, d in divs]
+    return [mu * math.log(n // d) ** k for mu, d in divs]
 
 
 def verify_selberg_identity(table: SieveTable, n: int,
@@ -249,12 +251,24 @@ def divisor_lambda_sums(table: SieveTable, x: int) -> np.ndarray:
 
     Sieve-accumulated: each prime power m spreads log p onto its
     multiples, which reorganizes the floor(n/m) double count without
-    ever invoking the log identity being tested.
+    ever invoking the log identity being tested. Every n gets its terms
+    in the order of prime_power_terms: its primes up to sqrt x, then its
+    prime above sqrt x if any (no n <= x has two), then its higher powers.
+    The primes above sqrt x reach their multiples k p by one scatter per
+    quotient k <= sqrt x, the others by strided adds.
     """
     table.check_range(x, lo=0)
     arr = np.zeros(x + 1, dtype=np.float64)
     ms, logs = prime_power_terms(table, x)
-    for m, lp in zip(ms.tolist(), logs.tolist()):
+    small = table.primes_upto(math.isqrt(x)).size
+    n_primes = table.primes_upto(x).size
+    big, big_logs = ms[small:n_primes], logs[small:n_primes]
+    for m, lp in zip(ms[:small].tolist(), logs[:small].tolist()):
+        arr[m::m] += lp
+    for k in range(1, math.isqrt(x) + 1):
+        n = int(np.searchsorted(big, x // k, side="right"))
+        arr[k * big[:n]] += big_logs[:n]
+    for m, lp in zip(ms[n_primes:].tolist(), logs[n_primes:].tolist()):
         arr[m::m] += lp
     return arr
 
@@ -262,6 +276,7 @@ def divisor_lambda_sums(table: SieveTable, x: int) -> np.ndarray:
 def log_sum_identity_sweep(table: SieveTable, k_max: int,
                            rel_tol: float = 1e-12) -> VerificationOutcome:
     """verify_log_sum_identity across every k <= k_max, vectorized."""
+    table.check_range(k_max)
     sums = divisor_lambda_sums(table, k_max)
     ks = np.arange(2, k_max + 1, dtype=np.float64)
     rel = np.abs(sums[2:] - np.log(ks)) / np.log(ks)
@@ -320,15 +335,15 @@ def selberg_sweep(table: SieveTable, n_max: int,
                   abs_tol: float = 1e-9) -> VerificationOutcome:
     """Selberg identity by brute-force divisor enumeration, n <= n_max."""
     table.check_range(n_max, lo=1)
-    lam = lambda_values(table, n_max)
-    logs = np.zeros(n_max + 1, dtype=np.float64)
-    logs[1:] = np.log(np.arange(1, n_max + 1, dtype=np.float64))
+    lam = lambda_values(table, n_max).tolist()
+    logs = [0.0, *np.log(np.arange(1, n_max + 1, dtype=np.float64)).tolist()]
     diffs = np.zeros(n_max, dtype=np.float64)    # diffs[n - 1]; 0.0 at n = 1
     for n in range(2, n_max + 1):
-        divs = divisors(factorize(table, n))
-        lhs = float(lam[n]) * float(logs[n]) + math.fsum(
-            float(lam[d] * lam[n // d]) for d in divs)
-        diffs[n - 1] = abs(lhs - generalized_lambda(table, n, 2))
+        fact = factorize(table, n)
+        lhs = lam[n] * logs[n] + math.fsum(
+            lam[d] * lam[n // d] for d in divisors(fact))
+        rhs = fsum(_mobius_log_terms(n, [p for p, _ in fact.factors], 2))
+        diffs[n - 1] = abs(lhs - rhs)
     return worst_case("selberg-identity", (1, n_max), np.arange(1, n_max + 1),
                       diffs, abs_tol, abs_tol - diffs)
 

@@ -148,15 +148,28 @@ def bijection_sweep(table: SieveTable, x_max: int,
 
 
 def split_identity_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
-    """small + large parts reassemble g_count(x) exactly, all x <= x_max."""
+    """small + large parts reassemble g_count(x) exactly, all x <= x_max.
+
+    The parts are g_count_split's sums, taken for a block of x at once
+    over an (x, p) grid of at most LPF_CHUNK entries; x // p is 0 for
+    p > x, so the grid can hold every prime up to the block's last x.
+    """
     table.check_range(x_max)
     g_all = g_count_all(table, x_max)
-    for x in range(2, x_max + 1):
-        small, large = g_count_split(table, x)
-        if small + large != int(g_all[x]):
-            w = Witness(input=x, lhs=float(small + large),
-                        rhs=float(g_all[x]),
-                        margin=-abs(float(small + large - g_all[x])))
+    ps = table.primes_upto(x_max)
+    step = max(1, LPF_CHUNK // ps.size)
+    for lo in range(2, x_max + 1, step):
+        xs = np.arange(lo, min(lo + step, x_max + 1), dtype=np.int64)
+        pb = ps[:int(np.searchsorted(ps, xs[-1], side="right"))]
+        grid = xs[:, None]
+        above = pb * pb > grid
+        totals = (np.where(above, 0, pb - 1).sum(axis=1)
+                  + np.where(above, grid // pb, 0).sum(axis=1))
+        bad = np.flatnonzero(totals != g_all[lo:lo + xs.size])
+        if bad.size:
+            x, total = int(xs[bad[0]]), int(totals[bad[0]])
+            w = Witness(input=x, lhs=float(total), rhs=float(g_all[x]),
+                        margin=-abs(float(total - g_all[x])))
             return VerificationOutcome("split-identity", (2, x_max), False, w)
     w = Witness(input=x_max, lhs=float(g_all[x_max]), rhs=float(g_all[x_max]),
                 margin=0.0)

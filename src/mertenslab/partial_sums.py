@@ -102,17 +102,19 @@ def abel_summation(weights, f, f_prime, lower: float, upper: float) -> float:
             jumps.setdefault(i, []).append(a)
 
     pieces: list[float] = []
-    t_cur = lower
+    t_cur, f_cur = lower, f(lower)
     a_cur = run.value
     for b in sorted(jumps):
-        pieces.append(a_cur * (f(b) - f(t_cur)))
+        f_b = f(b)
+        pieces.append(a_cur * (f_b - f_cur))
         for a in jumps[b]:
             run.add(a)
         a_cur = run.value
-        t_cur = b
+        t_cur, f_cur = b, f_b
+    f_upper = f(upper)
     if t_cur < upper:
-        pieces.append(a_cur * (f(upper) - f(t_cur)))
-    return fsum([a_cur * f(upper)] + [-piece for piece in pieces])
+        pieces.append(a_cur * (f_upper - f_cur))
+    return fsum([a_cur * f_upper] + [-piece for piece in pieces])
 
 
 def _decade_monotone(rows: list[ResidualRow]) -> bool:

@@ -4,9 +4,11 @@ Every other module queries a SieveTable: the SPF array answers factor
 structure in O(log n) per integer, the prime list answers counting and
 enumeration, and primes_upto(x) is the one way to the primes <= x.
 build_sieve(limit) is the one way to a table. Construction is segmented
-so cache behaviour stays flat at large limits; the finished table is
-immutable. Largest prime factors over a range come from one memoized
-pass over the SPF chains (largest_factor_range).
+so cache behaviour stays flat at large limits, and each segment takes
+plain strided stores of the base primes, largest first, so no slot is
+read back; the finished table is immutable. Largest prime factors over
+a range come from one memoized pass over the SPF chains
+(largest_factor_range).
 """
 
 import math
@@ -74,8 +76,9 @@ def build_sieve(limit: int) -> SieveTable:
     """Build the SPF table and prime list for 2..limit.
 
     The result is bit-identical for any SEGMENT >= 2: segments cover
-    disjoint ranges and base primes are applied smallest-first, so each
-    slot is claimed exactly once by its smallest prime factor. A table
+    disjoint ranges and base primes are stored largest-first with plain
+    strided writes, so a composite's smallest prime factor p, which
+    reaches it since p * p <= n, writes its slot last. A table
     whose estimated size exceeds MEMORY_BUDGET raises ResourceError
     before anything is allocated.
     """
@@ -99,17 +102,9 @@ def build_sieve(limit: int) -> SieveTable:
     for lo in range(2, limit + 1, SEGMENT):
         hi = min(lo + SEGMENT, limit + 1)
         view = spf[lo:hi]
-        for p in base_list:
-            if p * p >= hi:
-                break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
-            if p == 2:
-                view[start - lo:: 2] = 2    # nothing smaller can claim these
-            else:
-                sl = view[start - lo:: p]
-                sl[sl == 0] = p
+        reach = int(np.searchsorted(base, math.isqrt(hi - 1), side="right"))
+        for p in reversed(base_list[:reach]):    # the p with p * p < hi
+            view[max(p * p, -(-lo // p) * p) - lo:: p] = p
         fresh = np.flatnonzero(view == 0).astype(np.int64) + lo
         view[fresh - lo] = fresh
         prime_chunks.append(fresh)

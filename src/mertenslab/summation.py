@@ -12,7 +12,6 @@ there. Against a monotone curve the gap on a piece is extreme at one of
 its ends, so those points stand for every integer in range.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -21,16 +20,14 @@ CUMSUM_BLOCK = 4096
 
 
 def fsum(values) -> float:
-    """Exactly rounded sum of an iterable or 1-d array of floats.
+    """Exactly rounded sum of an iterable or 1-d array.
 
-    An array is fed to math.fsum in CUMSUM_BLOCK-sized chunks, one call
-    over the same sequence, so it costs O(CUMSUM_BLOCK) Python floats
-    rather than a list as long as the array.
+    An array is read by math.fsum through a memoryview of its buffer:
+    the same sequence as its ``.tolist()``, taken in place, so even a
+    strided view costs O(1) memory and no Python list is built.
     """
     if isinstance(values, np.ndarray):
-        return math.fsum(itertools.chain.from_iterable(
-            values[start:start + CUMSUM_BLOCK].tolist()
-            for start in range(0, values.size, CUMSUM_BLOCK)))
+        return math.fsum(memoryview(values))
     return math.fsum(values)
 
 

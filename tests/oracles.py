@@ -6,6 +6,8 @@ tables, no shared code paths with the package.
 
 import math
 
+import numpy as np
+
 
 def trial_factorize(n: int) -> list[tuple[int, int]]:
     factors = []
@@ -30,6 +32,22 @@ def trial_primes(limit: int) -> list[int]:
 
 def trial_largest_factor(n: int) -> int:
     return trial_factorize(n)[-1][0]
+
+
+def divisor_lambda_loop(x: int) -> np.ndarray:
+    """Sum of Lambda over the divisors of n for n = 0..x, one strided add
+    per prime power m <= x onto the multiples of m: the primes ascending,
+    then the higher powers grouped by p ascending. log p is np.log over
+    the array of the primes <= x, the weights the package uses, so the
+    result can be compared bit for bit."""
+    primes = trial_primes(x)
+    logs = np.log(np.array(primes, dtype=np.float64)).tolist()
+    powers = [(p ** k, lp) for p, lp in zip(primes, logs)
+              for k in range(2, x.bit_length()) if p ** k <= x]
+    sums = np.zeros(x + 1, dtype=np.float64)
+    for m, lp in [*zip(primes, logs), *powers]:
+        sums[m::m] += lp
+    return sums
 
 
 def census_brute(x_max: int) -> list[int]:

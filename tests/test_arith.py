@@ -9,7 +9,8 @@ from mertenslab import arith as A
 from mertenslab.errors import DomainError
 from mertenslab.sieve import factorize
 
-from oracles import factorial_exponent, mobius_brute, trial_factorize
+from oracles import (divisor_lambda_loop, factorial_exponent, mobius_brute,
+                     trial_factorize)
 
 
 def test_von_mangoldt_examples(table_1e4):
@@ -195,3 +196,17 @@ def test_sweeps_pass_small(table_1e5):
     assert A.selberg_sweep(table_1e5, 2000).passed
     assert A.generalized_lambda_k1_sweep(table_1e5, 2000).passed
     assert A.psi_theta_dominance_sweep(table_1e5, 10 ** 4).passed
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 8, 9, 960, 961, 962,
+                               10 ** 4, 10 ** 5])
+def test_divisor_lambda_sums_matches_prime_power_loop(table_1e5, x):
+    # 961 = 31^2: 31 is above sqrt x at 960 and at or below it from 961
+    assert (A.divisor_lambda_sums(table_1e5, x).tobytes()
+            == divisor_lambda_loop(x).tobytes())
+
+
+@pytest.mark.parametrize("k_max", [1, 0, -1])
+def test_log_sum_identity_sweep_needs_k_max_two(table_1e4, k_max):
+    with pytest.raises(DomainError, match=f"n={k_max} outside"):
+        A.log_sum_identity_sweep(table_1e4, k_max)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,3 +135,37 @@ def test_split_interval_floor_identity(table_1e4):
                   53, 59, 61, 67, 71):
             if p * p > x and p * (p - 1) <= x:
                 assert x // p == p - 1
+
+
+def _scalar_split_totals(table, x_max):
+    """small + large from the scalar g_count_split, for x = 0..x_max."""
+    return np.array([0, 0] + [sum(D.g_count_split(table, x))
+                              for x in range(2, x_max + 1)], dtype=np.int64)
+
+
+def test_split_identity_sweep_matches_scalar_split(table_1e4, monkeypatch):
+    # with G(x) replaced by the scalar totals, the sweep passes only if its
+    # blocked totals equal g_count_split at every x <= 3000
+    totals = _scalar_split_totals(table_1e4, 3000)
+    assert np.array_equal(totals, D.g_count_all(table_1e4, 3000))
+    monkeypatch.setattr(D, "g_count_all", lambda table, x_max: totals)
+    outcome = D.split_identity_sweep(table_1e4, 3000)
+    assert outcome.passed and outcome.worst_witness.input == 3000
+
+
+_EDGE = 2 + D.LPF_CHUNK // 430      # first block edge at x_max = 3000
+
+
+@pytest.mark.parametrize("bad", [1500, _EDGE - 1, _EDGE, _EDGE + 1, 3000])
+def test_split_identity_sweep_reports_first_mismatch(table_1e4, monkeypatch,
+                                                     bad):
+    assert table_1e4.primes_upto(3000).size == 430
+    totals = _scalar_split_totals(table_1e4, 3000)
+    totals[bad] += 1
+    totals[bad + 7:] += 1       # a later mismatch must not be the witness
+    monkeypatch.setattr(D, "g_count_all", lambda table, x_max: totals)
+    outcome = D.split_identity_sweep(table_1e4, 3000)
+    w = outcome.worst_witness
+    assert not outcome.passed
+    assert (w.input, w.lhs, w.rhs, w.margin) == (
+        bad, totals[bad] - 1, totals[bad], -1.0)

@@ -17,7 +17,7 @@ def _mixed(n: int) -> np.ndarray:
                                CUMSUM_BLOCK + 1, 3 * CUMSUM_BLOCK + 7,
                                664579])
 def test_fsum_matches_whole_list(n):
-    # the chunked array path feeds math.fsum the same sequence
+    # the array path feeds math.fsum the same sequence
     for values in (_mixed(n), 1.0 / np.arange(1, n + 1, dtype=np.float64)):
         assert fsum(values).hex() == math.fsum(values.tolist()).hex()
 
@@ -33,3 +33,22 @@ def test_fsum_memory_is_one_chunk():
         tracemalloc.stop()
     assert peak < 2 * 10 ** 6
 
+
+def test_fsum_views_and_integers():
+    values = _mixed(3 * CUMSUM_BLOCK + 7)
+    ints = np.random.default_rng(1).integers(-2 ** 62, 2 ** 62, 10 ** 4)
+    for view in (values[::3], values[::-1], ints):
+        assert fsum(view).hex() == math.fsum(view.tolist()).hex()
+
+
+def test_fsum_reads_a_strided_view_in_place():
+    # a copy of the view or a list of its elements would take >= 8 MB
+    view = np.random.default_rng(0).random(2 * 10 ** 6)[::2]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fsum(view)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
