@@ -56,6 +56,12 @@ def check_binomial_bounds(n_max: int) -> VerificationOutcome:
     return out
 
 
+def _moves(*positions: np.ndarray) -> np.ndarray:
+    """Distinct move points, ascending; a repeat only repeats a piece end."""
+    moves = np.sort(np.concatenate(positions))
+    return moves[np.concatenate(([True], moves[1:] != moves[:-1]))]
+
+
 def check_psi_dyadic(table: SieveTable, n_max: int) -> VerificationOutcome:
     """psi(2n) - psi(n) <= 2n log 2 for n = 1..n_max.
 
@@ -65,8 +71,7 @@ def check_psi_dyadic(table: SieveTable, n_max: int) -> VerificationOutcome:
     if not 1 <= 2 * n_max <= table.limit:
         raise DomainError(f"2*n_max={2 * n_max} outside [2, {table.limit}]")
     pos, psi = _jump_cumulative(*prime_power_terms(table, 2 * n_max))
-    moves = np.sort(np.concatenate(((pos + 1) // 2, pos)))
-    ns, _ = piece_ends(moves, 1, n_max)
+    ns, _ = piece_ends(_moves((pos + 1) // 2, pos), 1, n_max)
     gain = (step_values(psi, np.searchsorted(pos, 2 * ns, side="right"))
             - step_values(psi, np.searchsorted(pos, ns, side="right")))
     cap = 2.0 * ns * math.log(2.0)
@@ -134,8 +139,7 @@ def check_interval_primorial(table: SieveTable,
             f"m_max={m_max} outside [1, {(table.limit - 1) // 2}]")
     ps = table.primes_upto(2 * m_max + 1)
     theta = compensated_cumsum(np.log(ps.astype(np.float64)))
-    moves = np.sort(np.concatenate(((ps - 1) // 2, ps - 1)))
-    ms, _ = piece_ends(moves, 1, m_max)
+    ms, _ = piece_ends(_moves((ps - 1) // 2, ps - 1), 1, m_max)
     gain = (step_values(theta, np.searchsorted(ps, 2 * ms + 1, side="right"))
             - step_values(theta, np.searchsorted(ps, ms + 1, side="right")))
     cap = ms * LOG4

@@ -11,6 +11,7 @@ primitive the bounds and density sweeps share.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .arith import prime_power_terms
 from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness, worst_case
 from .sieve import SieveTable
-from .summation import (RunningSum, _jump_cumulative, fsum, piece_ends,
+from .summation import (_jump_cumulative, fsum, piece_ends, running_sums,
                          step_values)
 
 EULER_GAMMA = 0.57721566490153286060
@@ -85,6 +86,7 @@ def abel_summation(weights, f, f_prime, lower: float, upper: float) -> float:
     integral of A f' is evaluated exactly piecewise (A is constant
     between jumps, so each piece is A * (f(b) - f(a)) via f itself).
     f_prime completes the classical signature; the value never reads it.
+    A comes from summation.running_sums; f is called once per jump.
     """
     if not lower < upper:
         raise DomainError(f"need lower < upper, got [{lower}, {upper}]")
@@ -93,28 +95,19 @@ def abel_summation(weights, f, f_prime, lower: float, upper: float) -> float:
     if any(b < a for a, b in zip(idxs, idxs[1:])):
         raise DomainError("weights must be sorted by index")
 
-    run = RunningSum()
-    jumps: dict[int, list[float]] = {}
-    for i, a in weights:
-        if i <= lower:
-            run.add(a)
-        elif i <= upper:
-            jumps.setdefault(i, []).append(a)
-
-    pieces: list[float] = []
-    t_cur, f_cur = lower, f(lower)
-    a_cur = run.value
-    for b in sorted(jumps):
-        f_b = f(b)
-        pieces.append(a_cur * (f_b - f_cur))
-        for a in jumps[b]:
-            run.add(a)
-        a_cur = run.value
-        t_cur, f_cur = b, f_b
-    f_upper = f(upper)
-    if t_cur < upper:
-        pieces.append(a_cur * (f_upper - f_cur))
-    return fsum([a_cur * f_upper] + [-piece for piece in pieces])
+    start, stop = bisect_right(idxs, lower), bisect_right(idxs, upper)
+    run = running_sums([a for _, a in weights[:stop]])
+    inner = np.array(idxs[start:stop])
+    # the last weight of each index, where A(index) is read
+    last = start + np.flatnonzero(np.append(inner[1:] != inner[:-1],
+                                            inner.size > 0))
+    a = run[np.concatenate(([start], last + 1))]    # A(lower), A(each jump)
+    fs = np.array([f(lower), *[f(idxs[j]) for j in last.tolist()],
+                   f(upper)], dtype=np.float64)
+    pieces = a * np.diff(fs)
+    if last.size and not idxs[last[-1]] < upper:
+        pieces = pieces[:-1]
+    return fsum(np.concatenate(([a[-1] * fs[-1]], -pieces)))
 
 
 def _decade_monotone(rows: list[ResidualRow]) -> bool:
@@ -226,7 +219,11 @@ def _step_vs_log_sweep(name: str, pos: np.ndarray, cum: np.ndarray,
     """Largest |step - log n| on [lo, hi]. The step is constant on each
     piece and log n increases, so the deviation peaks at a piece end."""
     ns, counts = piece_ends(pos, lo, hi)
-    dev = np.abs(step_values(cum, counts) - np.log(ns.astype(np.float64)))
+    # in place: lambda-sum-bound + mertens1-bound set the --threads 2 peak
+    dev = step_values(cum, counts)
+    del counts
+    dev -= np.log(ns, dtype=np.float64)
+    np.abs(dev, out=dev)
     return worst_case(name, (lo, hi), ns, dev, ceiling, ceiling - dev)
 
 

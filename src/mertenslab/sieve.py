@@ -121,7 +121,7 @@ def factorize(table: SieveTable, n: int) -> Factorization:
     factors: list[tuple[int, int]] = []
     spf = table.spf
     while m > 1:
-        p = int(spf[m])
+        p = spf.item(m)
         e = 0
         while m % p == 0:
             m //= p
@@ -145,7 +145,7 @@ def largest_prime_factor(table: SieveTable, n: int) -> int:
     p = 0
     spf = table.spf
     while m > 1:
-        p = int(spf[m])
+        p = spf.item(m)
         while m % p == 0:
             m //= p
     return p

@@ -7,14 +7,16 @@ boundaries. Prefix sums are built blockwise with fsum-anchored offsets.
 
 Every prime sum is a step function of its upper limit: _jump_cumulative
 turns jump positions and sizes into its prefix sums, piece_ends lists
-where its constant pieces start and end, and step_values reads it
-there. Against a monotone curve the gap on a piece is extreme at one of
-its ends, so those points stand for every integer in range.
+the ends of its constant pieces by interleaving its strictly increasing
+jumps, with no sort, and step_values reads it there. Against a monotone
+curve the gap on a piece is extreme at an end: those cover every integer.
 """
 
 import math
 
 import numpy as np
+
+from .errors import DomainError
 
 CUMSUM_BLOCK = 4096
 
@@ -56,6 +58,19 @@ def compensated_cumsum(values) -> np.ndarray:
     return out
 
 
+def running_sums(values) -> np.ndarray:
+    """Neumaier's running sum s + c (Neumaier 1974) before and after each
+    of ``values``, bit for bit the loop t = s + x; c += (s - t) + x if
+    |s| >= |x| else (x - t) + s; s = t. Its s, and then c, are prefix
+    sums from 0.0, and np.cumsum adds strictly in sequence.
+    """
+    w = np.asarray(values, dtype=np.float64)
+    s = np.cumsum(np.concatenate(([0.0], w)))
+    prev, t = s[:-1], s[1:]
+    c = np.where(np.abs(prev) >= np.abs(w), (prev - t) + w, (w - t) + prev)
+    return s + np.cumsum(np.concatenate(([0.0], c)))
+
+
 def _jump_cumulative(positions: np.ndarray, terms: np.ndarray):
     """Sort jump positions and return them with compensated prefix sums."""
     order = np.argsort(positions, kind="stable")
@@ -65,44 +80,26 @@ def _jump_cumulative(positions: np.ndarray, terms: np.ndarray):
 def piece_ends(jumps: np.ndarray, lo: int, hi: int):
     """Where the constant pieces of a step function on [lo, hi] start and end.
 
-    The step function jumps at each entry of the sorted array ``jumps``
-    and is constant from one jump up to the integer before the next. The
-    points are lo, hi, and q and q - 1 for every jump q in (lo, hi],
-    ascending; duplicates may occur. Against a monotone curve the gap on
-    a piece is extreme at one of the piece's two ends, so checking these
-    points covers every integer in [lo, hi]. Returns the points and the
-    number of jumps at or below each.
+    The step function jumps at each entry of the sorted integer array
+    ``jumps``, which must not repeat in (lo, hi] (DomainError), and is
+    constant from one jump up to the integer before the next. The points
+    lo, q - 1 and q for each jump q in (lo, hi], then hi, ascend as
+    written; a point repeats where a piece is one integer long. Against a
+    monotone curve the gap on a piece is extreme at one of its two ends,
+    so these points cover every integer in [lo, hi]. Returns them and the
+    number of jumps at or below each: a, a, a + 1, a + 1, ..., b, b.
     """
-    inner = jumps[np.searchsorted(jumps, lo, side="right"):
-                  np.searchsorted(jumps, hi, side="right")]
-    ns = np.sort(np.concatenate((np.array([lo, hi], dtype=np.int64),
-                                 inner, inner - 1)))
-    return ns, np.searchsorted(jumps, ns, side="right")
+    a, b = np.searchsorted(jumps, [lo, hi], side="right").tolist()
+    inner = jumps[a:b]
+    if lo > hi or np.any(inner[1:] <= inner[:-1]):
+        raise DomainError(f"need lo <= hi, jumps rising in ({lo}, {hi}]")
+    ns = np.empty(2 * inner.size + 2, dtype=np.int64)
+    ns[0], ns[-1] = lo, hi
+    ns[1:-1:2], ns[2:-1:2] = inner - 1, inner
+    return ns, np.repeat(np.arange(a, b + 1), 2)
 
 
 def step_values(cum: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The step function after ``counts`` jumps: ``cum[count - 1]``, where
     ``cum`` holds its prefix sums, or 0 before the first jump."""
     return np.concatenate(([0], cum))[counts]
-
-
-class RunningSum:
-    """Neumaier-compensated running sum for incremental accumulation."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c

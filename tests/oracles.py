@@ -196,3 +196,72 @@ def bound_sweep_reference(check: str, hi: int, ceiling: float = 2.0,
         raise ValueError(f"no reference for {check}")
     worst = min(range(lo, hi + 1), key=margin)
     return margin(worst) >= floor and holds, worst
+
+
+def running_sum_loop(values) -> list[float]:
+    """Neumaier's compensated running sum, one Python step per value:
+    its value s + c after each of them."""
+    s = c = 0.0
+    out = []
+    for x in values:
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+        out.append(s + c)
+    return out
+
+
+def abel_summation_loop(weights, f, f_prime, lower: float,
+                        upper: float) -> float:
+    """Exact Abel summation with a per-weight running sum: A(t) is the
+    Neumaier sum of the weights with index <= t, added in index order,
+    and each constant piece of A contributes A * (f(b) - f(a))."""
+    weights = list(weights)
+    idxs = [i for i, _ in weights]
+    if not lower < upper or idxs != sorted(idxs):
+        raise ValueError("need lower < upper and weights sorted by index")
+    s = c = 0.0
+
+    def add(x):
+        nonlocal s, c
+        t = s + x
+        if abs(s) >= abs(x):
+            c += (s - t) + x
+        else:
+            c += (x - t) + s
+        s = t
+
+    jumps: dict = {}
+    for i, a in weights:
+        if i <= lower:
+            add(a)
+        elif i <= upper:
+            jumps.setdefault(i, []).append(a)
+    pieces = []
+    t_cur, f_cur = lower, f(lower)
+    a_cur = s + c
+    for b in sorted(jumps):
+        f_b = f(b)
+        pieces.append(a_cur * (f_b - f_cur))
+        for a in jumps[b]:
+            add(a)
+        a_cur = s + c
+        t_cur, f_cur = b, f_b
+    f_upper = f(upper)
+    if t_cur < upper:
+        pieces.append(a_cur * (f_upper - f_cur))
+    return math.fsum([a_cur * f_upper] + [-piece for piece in pieces])
+
+
+def piece_ends_sorted(jumps: np.ndarray, lo: int, hi: int):
+    """Piece ends by sorting: lo, hi, and q and q - 1 for each jump q in
+    (lo, hi], sorted together, with the count of jumps at or below each
+    point found by binary search."""
+    inner = jumps[np.searchsorted(jumps, lo, side="right"):
+                  np.searchsorted(jumps, hi, side="right")]
+    ns = np.sort(np.concatenate((np.array([lo, hi], dtype=np.int64),
+                                 inner, inner - 1)))
+    return ns, np.searchsorted(jumps, ns, side="right")

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mertenslab import cli
 from mertenslab.cli import main
 
@@ -175,17 +177,19 @@ def test_verify_all_snapshot(capsys, tmp_path):
     assert out.encode() == (DATA / "verify_all_1e5.txt").read_bytes()
     assert out_path.read_bytes() == (DATA / "verify_all_1e5.json").read_bytes()
 
-def test_verify_all_matches_golden_1e7(capsys, tmp_path):
-    # the 1e7 outputs the benchmark checks its runs against
+@pytest.mark.parametrize("threads", [1, 2])
+def test_verify_all_matches_golden_1e7(capsys, tmp_path, threads):
+    # the 1e7 outputs the benchmark checks its runs against, at the thread
+    # counts of both verify workloads
     golden = json.loads(GOLDEN_1E7.read_text())
     out_path = tmp_path / "verify.json"
     code, out, _ = run_cli(capsys, "verify", "--suite", "all",
-                           "--limit", "10000000", "--threads", "2",
+                           "--limit", "10000000", "--threads", str(threads),
                            "--out", str(out_path))
     assert code == 0
     assert out == "".join(line + "\n" for line in golden["lines"].values())
     assert json.loads(out_path.read_text()) == {
-        "config": dict(golden["config"], thread_count=2), "rows": [],
+        "config": dict(golden["config"], thread_count=threads), "rows": [],
         "outcomes": list(golden["outcomes"].values())}
 
 def test_constants(capsys):

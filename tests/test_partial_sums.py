@@ -1,13 +1,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mertenslab import partial_sums as P
 from mertenslab.errors import DomainError
 
-from oracles import abel_summation_quadrature
+from oracles import abel_summation_loop, abel_summation_quadrature
 
 LOG2 = math.log(2)
 
@@ -195,3 +195,37 @@ def test_lambda_sum_and_mertens1_residuals(table_1e6):
         assert abs(mer - math.log(x)) <= 2.0
         # the gap between the two sums is the higher-prime-power mass
         assert 0.0 <= lam - mer <= 1.0
+
+
+def _calls_and_value(abel, weights, lower, upper):
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 / (t + 2.0)
+
+    return calls, abel(weights, f, None, lower, upper)
+
+
+WEIGHT = st.one_of(st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300),
+                   st.sampled_from([0.0, -0.0]))
+BOUND = st.one_of(st.integers(-1, 25), st.floats(-1, 25))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 30), WEIGHT), max_size=40),
+       BOUND, st.one_of(st.integers(1, 30), st.floats(1e-3, 30)))
+@example([], 2, 2)
+@example([(2, 1.0), (2, 2.0), (3, 3.0)], 1, 4)          # one index twice
+@example([(1, -0.0), (3, 1.0)], 1, 2)                  # A(lower) = -0.0
+@example([(2, 1e16), (3, 1.0), (3, -1e16)], 0.5, 2.5)
+def test_abel_matches_running_sum_loop(weight_list, lower, width):
+    # bit for bit, sign of zero included, and f called at the same points
+    weights = sorted(weight_list, key=lambda w: w[0])
+    new_calls, got = _calls_and_value(P.abel_summation, weights, lower,
+                                      lower + width)
+    old_calls, want = _calls_and_value(abel_summation_loop, weights, lower,
+                                       lower + width)
+    assert (got.hex(), math.copysign(1.0, got)) == \
+        (want.hex(), math.copysign(1.0, want))
+    assert new_calls == old_calls

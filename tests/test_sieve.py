@@ -72,6 +72,15 @@ def test_factorize_matches_trial_division(table_1e4, n):
     assert math.prod(p ** e for p, e in fact.factors) == n
 
 
+def test_factorize_reads_python_ints(table_1e4):
+    # exact Python integers, so p ** e cannot wrap at a fixed width
+    for n in range(2, 10 ** 4 + 1):
+        factors = factorize(table_1e4, n).factors
+        assert all(type(p) is int and type(e) is int for p, e in factors)
+        assert math.prod(p ** e for p, e in factors) == n
+        assert type(largest_prime_factor(table_1e4, n)) is int
+
+
 def test_factorize_examples(table_1e4):
     assert factorize(table_1e4, 12).factors == [(2, 2), (3, 1)]
     assert factorize(table_1e4, 97).factors == [(97, 1)]

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mertenslab import arith as A
@@ -17,8 +17,9 @@ from mertenslab import bounds as B
 from mertenslab import density as D
 from mertenslab import partial_sums as P
 from mertenslab import summation as S
+from mertenslab.errors import DomainError
 
-from oracles import bound_sweep_reference
+from oracles import bound_sweep_reference, piece_ends_sorted
 
 CHECKS = [
     ("lambda-sum-bound", {}, lambda t, hi: P.lambda_sum_bound_sweep(t, hi)),
@@ -110,3 +111,30 @@ def test_piece_ends_cover_every_integer(jump_set, lo, width):
     assert np.array_equal(counts, np.searchsorted(jumps, ns, side="right"))
     gap = np.abs(S.step_values(cum, counts) - np.log(ns))
     assert gap.max() == np.abs(dense - np.log(every)).max()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(-3, 40), max_size=25), st.integers(-3, 40),
+       st.integers(0, 40))
+@example({2, 3, 5, 7}, 5, 2)            # lo and hi on jumps
+@example({2, 3, 8, 9}, 2, 7)            # adjacent jumps, lo on one
+@example(set(), 1, 0)
+def test_piece_ends_interleave_matches_sort(jump_set, lo, width):
+    # interleaving strictly increasing jumps gives the sorted array
+    jumps = np.array(sorted(jump_set), dtype=np.int64)
+    ns, counts = S.piece_ends(jumps, lo, lo + width)
+    ref_ns, ref_counts = piece_ends_sorted(jumps, lo, lo + width)
+    assert ns.dtype == ref_ns.dtype and counts.dtype == ref_counts.dtype
+    assert np.array_equal(ns, ref_ns) and np.array_equal(counts, ref_counts)
+
+
+@pytest.mark.parametrize("jumps", [[2, 3, 3, 5], [2, 5, 5], [7, 5, 3],
+                                   [2, 9, 4, 11]])
+def test_piece_ends_rejects_repeated_or_descending_jumps(jumps):
+    with pytest.raises(DomainError):
+        S.piece_ends(np.array(jumps, dtype=np.int64), 1, 10)
+
+
+def test_piece_ends_rejects_empty_range():
+    with pytest.raises(DomainError):
+        S.piece_ends(np.array([2, 3], dtype=np.int64), 5, 4)

@@ -3,8 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mertenslab.summation import CUMSUM_BLOCK, fsum
+from mertenslab.summation import CUMSUM_BLOCK, fsum, running_sums
+
+from oracles import running_sum_loop
 
 
 def _mixed(n: int) -> np.ndarray:
@@ -52,3 +56,29 @@ def test_fsum_reads_a_strided_view_in_place():
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6
+
+
+def _bits(values) -> list[tuple[str, float]]:
+    return [(v.hex(), math.copysign(1.0, v)) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(1e-300, 1e300),
+                          st.floats(-1e300, -1e-300),
+                          st.sampled_from([0.0, -0.0])), max_size=60))
+@example([])
+@example([-0.0])
+@example([-0.0, -0.0, 0.0])
+@example([1e16, 1.0, -1e16])
+@example([1.0, 1e100, 1.0, -1e100])
+@example([1e300, -1e300, 1e-300, 3e-300])
+def test_running_sums_match_the_loop(values):
+    # the two-cumsum form is the sequential Neumaier loop, bit for bit
+    got = running_sums(values)
+    assert _bits(got.tolist()) == _bits([0.0, *running_sum_loop(values)])
+
+
+def test_running_sums_compensate():
+    # the 1.0 that a plain running sum loses survives the correction
+    assert np.cumsum([1e16, 1.0, -1e16])[-1] == 0.0
+    assert running_sums([1e16, 1.0, -1e16])[-1] == 1.0
