@@ -6,16 +6,19 @@ Selberg / generalized von Mangoldt divisor sums, plus the vectorized
 sweep variants the verification suites run over exhaustive ranges.
 """
 
+import dataclasses
 import math
 from collections import defaultdict
 
 import numpy as np
 
 from .errors import DomainError
-from .outcomes import VerificationOutcome, Witness, worst_case
+from .outcomes import VerificationOutcome, exact_case, worst_case
 from .sieve import Factorization, SieveTable, factorize
 from .summation import (_jump_cumulative, compensated_cumsum, fsum,
                          piece_ends, step_values)
+
+PSI_THETA_TOL = 1e-12
 
 
 def is_prime(n: int) -> bool:
@@ -118,15 +121,13 @@ def verify_log_sum_identity(table: SieveTable, k: int,
     k = prod p^a_p; failure is reported, never raised.
     """
     table.check_range(k, lo=1)
-    if k == 1:
-        witness = Witness(input=1, lhs=0.0, rhs=rel_tol, margin=rel_tol)
-        return VerificationOutcome("log-sum-identity", (1, 1), True, witness)
-    factors = factorize(table, k).factors
-    lhs = fsum(a * math.log(p) for p, a in factors)
-    rel = abs(lhs - math.log(k)) / math.log(k)
-    witness = Witness(input=k, lhs=rel, rhs=rel_tol, margin=rel_tol - rel)
-    return VerificationOutcome("log-sum-identity", (k, k), rel <= rel_tol,
-                               witness)
+    rel = 0.0
+    if k > 1:
+        factors = factorize(table, k).factors
+        lhs = fsum(a * math.log(p) for p, a in factors)
+        rel = abs(lhs - math.log(k)) / math.log(k)
+    return worst_case("log-sum-identity", (k, k), [k], [rel], rel_tol,
+                      [rel_tol - rel])
 
 
 def chebyshev_psi(table: SieveTable, x: int) -> float:
@@ -196,9 +197,8 @@ def verify_selberg_identity(table: SieveTable, n: int,
     lhs = lam[n] * log_n + fsum(lam[d] * lam[n // d] for d in divs)
     rhs = generalized_lambda(table, n, 2) if n > 1 else 0.0
     diff = abs(lhs - rhs)
-    witness = Witness(input=n, lhs=diff, rhs=abs_tol, margin=abs_tol - diff)
-    return VerificationOutcome("selberg-identity", (n, n), diff <= abs_tol,
-                               witness)
+    return worst_case("selberg-identity", (n, n), [n], [diff], abs_tol,
+                      [abs_tol - diff])
 
 
 # ---------------------------------------------------------------------------
@@ -294,30 +294,19 @@ def legendre_exact_sweep(table: SieveTable, n_max: int) -> VerificationOutcome:
         for p, e in factorize(table, k).factors:
             positions[p].append((k, e))
     ns = np.arange(n_max + 1, dtype=np.int64)
-    worst: Witness | None = None
-    ok = True
+    misses = np.zeros(n_max + 1, dtype=np.int64)
     for p in sorted(positions):
         nu = np.zeros(n_max + 1, dtype=np.int64)
         ks, es = zip(*positions[p])
         nu[list(ks)] = es
-        oracle = np.cumsum(nu)
         legendre = np.zeros(n_max + 1, dtype=np.int64)
         pk = p
         while pk <= n_max:
             legendre += ns // pk
             pk *= p
-        diff = np.abs(oracle - legendre)
-        bad = int(np.argmax(diff))
-        if diff[bad] > 0:
-            ok = False
-            worst = Witness(input=bad, lhs=float(oracle[bad]),
-                            rhs=float(legendre[bad]),
-                            margin=-float(diff[bad]))
-            break
-    if worst is None:
-        worst = Witness(input=n_max, lhs=0.0, rhs=0.0, margin=0.0)
-    return VerificationOutcome("legendre-exponent-exact", (2, n_max), ok,
-                               worst)
+        misses += np.abs(np.cumsum(nu) - legendre)
+    return exact_case("legendre-exponent-exact", (2, n_max), ns[2:],
+                      misses[2:], 0)
 
 
 def logfact_dual_route_sweep(table: SieveTable, n_max: int,
@@ -359,10 +348,10 @@ def generalized_lambda_k1_sweep(table: SieveTable, n_max: int,
                       np.arange(1, n_max + 1), diffs, abs_tol, abs_tol - diffs)
 
 
-def psi_theta_dominance_sweep(table: SieveTable, x_max: int,
-                              tol: float = 1e-12) -> VerificationOutcome:
+def psi_theta_dominance_sweep(table: SieveTable,
+                              x_max: int) -> VerificationOutcome:
     """psi >= theta everywhere, equality exactly while no higher prime
-    power has appeared (x < 4).
+    power has appeared (x < 4), to within PSI_THETA_TOL.
 
     Both are constant between prime powers, so their values at the ends
     of those pieces cover every integer in [2, x_max].
@@ -377,12 +366,10 @@ def psi_theta_dominance_sweep(table: SieveTable, x_max: int,
     psi = step_values(psi_cum, counts)
     theta = step_values(theta_cum, np.searchsorted(ps, xs, side="right"))
     diff = psi - theta
-    worst = int(np.argmin(diff))
-    ok = bool(np.all(diff >= -tol))
-    if ok and x_max >= 4:
-        # equality must break exactly at the first higher power, 4
-        ok = bool(np.all(diff[xs < 4] <= tol)) and bool(
-            np.all(diff[xs >= 4] > math.log(2) - 1e-9))
-    witness = Witness(input=int(xs[worst]), lhs=float(theta[worst]),
-                      rhs=float(psi[worst]), margin=float(diff[worst]))
-    return VerificationOutcome("psi-theta-dominance", (2, x_max), ok, witness)
+    out = worst_case("psi-theta-dominance", (2, x_max), xs, theta, psi, diff,
+                     -PSI_THETA_TOL)
+    # equality must break exactly at the first higher power, 4
+    breaks_at_4 = x_max < 4 or (
+        bool(np.all(diff[xs < 4] <= PSI_THETA_TOL))
+        and bool(np.all(diff[xs >= 4] > math.log(2) - 1e-9)))
+    return dataclasses.replace(out, passed=out.passed and breaks_at_4)

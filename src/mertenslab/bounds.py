@@ -3,7 +3,10 @@
 Every check runs in log space with a 1e-9 slack guard so float error
 can never fabricate a counterexample of a proven theorem; where exact
 integer arithmetic is feasible (small parameters) a zero-tolerance
-big-integer pass runs alongside. Failures are reported, never raised.
+big-integer pass runs alongside; a miss there overrides the float
+verdict with its own witness (margin -1.0), built here by hand. Every
+other verdict comes from outcomes.worst_case. Failures are reported,
+never raised.
 
 pi(n), psi(x), theta(x) and the sum of 1/p are step functions checked
 against monotone curves, so those checks evaluate only where a constant
@@ -92,12 +95,17 @@ def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
     pos, psi = _jump_cumulative(*prime_power_terms(table, x_max))
     xs, counts = piece_ends(pos, 2, x_max)
     vals = step_values(psi, counts)
-    return min(
-        worst_case("psi-linear", (2, x_max), xs, c1 * xs, vals,
-                   vals - c1 * xs, -SLACK),
-        worst_case("psi-linear", (2, x_max), xs, vals, c2 * xs,
-                   c2 * xs - vals, -SLACK),
-        key=lambda o: o.worst_witness.margin)
+    # the largest check at 1e7: one buffer per line, one for both margins
+    del pos, psi, counts
+    line = c1 * xs
+    margin = vals - line
+    lower = worst_case("psi-linear", (2, x_max), xs, line, vals, margin,
+                       -SLACK)
+    np.multiply(xs, c2, out=line)
+    np.subtract(line, vals, out=margin)
+    upper = worst_case("psi-linear", (2, x_max), xs, vals, line, margin,
+                       -SLACK)
+    return min(lower, upper, key=lambda o: o.worst_witness.margin)
 
 
 def check_primorial_bound(table: SieveTable,

@@ -162,18 +162,14 @@ def cmd_constants(args) -> int:
             f"constants needs limit >= 1e5 for a meaningful tail, "
             f"got {args.limit}")
     table = build_sieve(args.limit)
-    series = partial_sums.meissel_mertens_from_series(
-        table, min(args.limit, 10 ** 7))
-    tail = partial_sums.meissel_mertens_from_tail(table, args.limit)
+    series, tail, agreement = partial_sums.meissel_mertens_agreement(table)
     for est in (series, tail):
         print(f"constant={est.name} route={est.route} "
               f"value={est.value!r} error_bound={est.error_bound!r}")
-    delta = abs(series.value - tail.value)
-    combined = series.error_bound + tail.error_bound
-    agree = delta <= combined
-    print(f"agreement delta={delta!r} combined_bound={combined!r} "
-          f"{'PASS' if agree else 'FAIL'}")
-    return 0 if agree else 1
+    w = agreement.worst_witness
+    print(f"agreement delta={w.lhs!r} combined_bound={w.rhs!r} "
+          f"{'PASS' if agreement.passed else 'FAIL'}")
+    return 0 if agreement.passed else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -4,18 +4,19 @@ Two independent counting routes: a census of the largest prime factor
 of every n <= x, read off each n's SPF chain, and the pair count
 G(x) = sum over primes of min(p-1, floor(x/p)). They share no code, and
 the bijection between them is exact, so the suites compare integer
-against integer with zero tolerance. All square-root threshold
+against integer through outcomes.exact_case. All square-root threshold
 comparisons are done in integer arithmetic (p*p vs n, squared in int64)
 so perfect squares can never be misclassified. The census holds one
 SPF-dtype array of largest factors up to x (40 MB at 1e7).
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
 from .errors import DomainError
-from .outcomes import VerificationOutcome, Witness, worst_case
+from .outcomes import VerificationOutcome, Witness, exact_case, worst_case
 from .partial_sums import LOG2, ResidualReport, ResidualRow, _validate_xs
 from .sieve import LPF_CHUNK, SieveTable, largest_factor_range
 from .summation import fsum, piece_ends, step_values
@@ -127,24 +128,16 @@ def bijection_sweep(table: SieveTable, x_max: int,
     member = np.zeros(x_max + 1, dtype=np.int64)
     member[2:] = _large_flags(largest_factor_range(table, 2, x_max + 1), 2)
     census_all = np.cumsum(member)
-    bad = np.flatnonzero(g_all[2:] != census_all[2:])
-    if bad.size:
-        x = int(bad[0]) + 2
-        w = Witness(input=x, lhs=float(g_all[x]), rhs=float(census_all[x]),
-                    margin=-abs(float(g_all[x] - census_all[x])))
-        return VerificationOutcome("pair-bijection", (2, x_max), False, w)
-    hi_end = x_max
+    out = exact_case("pair-bijection", (2, x_max), np.arange(2, x_max + 1),
+                     g_all[2:], census_all[2:])
+    if not out.passed:
+        return out
     for x in spots:
-        hi_end = max(hi_end, x)
-        g = g_count(table, x)
-        oracle = census_oracle(table, x)
-        if g != oracle:
-            w = Witness(input=x, lhs=float(g), rhs=float(oracle),
-                        margin=-abs(float(g - oracle)))
-            return VerificationOutcome("pair-bijection", (2, hi_end), False, w)
-    w = Witness(input=x_max, lhs=float(g_all[x_max]), rhs=float(g_all[x_max]),
-                margin=0.0)
-    return VerificationOutcome("pair-bijection", (2, hi_end), True, w)
+        spot = exact_case("pair-bijection", (2, max(x_max, x)), [x],
+                          [g_count(table, x)], [census_oracle(table, x)])
+        if not spot.passed:
+            return spot
+    return dataclasses.replace(out, range=(2, max((x_max, *spots))))
 
 
 def split_identity_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
@@ -158,22 +151,16 @@ def split_identity_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
     g_all = g_count_all(table, x_max)
     ps = table.primes_upto(x_max)
     step = max(1, LPF_CHUNK // ps.size)
+    totals = []
     for lo in range(2, x_max + 1, step):
         xs = np.arange(lo, min(lo + step, x_max + 1), dtype=np.int64)
         pb = ps[:int(np.searchsorted(ps, xs[-1], side="right"))]
         grid = xs[:, None]
         above = pb * pb > grid
-        totals = (np.where(above, 0, pb - 1).sum(axis=1)
-                  + np.where(above, grid // pb, 0).sum(axis=1))
-        bad = np.flatnonzero(totals != g_all[lo:lo + xs.size])
-        if bad.size:
-            x, total = int(xs[bad[0]]), int(totals[bad[0]])
-            w = Witness(input=x, lhs=float(total), rhs=float(g_all[x]),
-                        margin=-abs(float(total - g_all[x])))
-            return VerificationOutcome("split-identity", (2, x_max), False, w)
-    w = Witness(input=x_max, lhs=float(g_all[x_max]), rhs=float(g_all[x_max]),
-                margin=0.0)
-    return VerificationOutcome("split-identity", (2, x_max), True, w)
+        totals.append(np.where(above, 0, pb - 1).sum(axis=1)
+                      + np.where(above, grid // pb, 0).sum(axis=1))
+    return exact_case("split-identity", (2, x_max), np.arange(2, x_max + 1),
+                      np.concatenate(totals), g_all[2:])
 
 
 def split_interval_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
@@ -184,25 +171,19 @@ def split_interval_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
     [p^2 - p, p^2 - 1]: integer arithmetic throughout.
     """
     table.check_range(x_max)
-    counts = np.zeros(x_max + 1, dtype=np.int64)
-    for p in table.primes_upto(math.isqrt(x_max) + 1).tolist():
-        lo = p * p - p
-        if lo > x_max:
-            break
-        hi = min(p * p - 1, x_max)
-        counts[lo:hi + 1] += 1
-        xs = np.arange(lo, hi + 1, dtype=np.int64)
-        floors = xs // p
-        if not np.all(floors == p - 1):
-            x = int(xs[int(np.argmax(floors != p - 1))])
-            w = Witness(input=x, lhs=float(x // p), rhs=float(p - 1),
-                        margin=-abs(float(x // p - (p - 1))))
-            return VerificationOutcome("split-interval", (2, x_max), False, w)
-    worst = int(np.argmax(counts[2:])) + 2
-    ok = bool(counts[worst] <= 1)
-    w = Witness(input=worst, lhs=float(counts[worst]), rhs=1.0,
-                margin=1.0 - float(counts[worst]))
-    return VerificationOutcome("split-interval", (2, x_max), ok, w)
+    ps = table.primes_upto(math.isqrt(x_max) + 1).astype(np.int64)
+    ps = ps[ps * ps - ps <= x_max]
+    spans = [np.arange(p * p - p, min(p * p - 1, x_max) + 1, dtype=np.int64)
+             for p in ps.tolist()]
+    xs = np.concatenate(spans)
+    owner = np.repeat(ps, [span.size for span in spans])
+    floors = exact_case("split-interval", (2, x_max), xs, xs // owner,
+                        owner - 1)
+    if not floors.passed:
+        return floors
+    counts = np.bincount(xs, minlength=x_max + 1)[2:]
+    return worst_case("split-interval", (2, x_max), range(2, x_max + 1),
+                      counts, 1, 1 - counts)
 
 
 def small_part_bound_sweep(table: SieveTable,

@@ -1,5 +1,6 @@
-"""Report container for identity and inequality checks, and the one
-verdict rule every multi-case check goes through (worst_case)."""
+"""Report container for identity and inequality checks, and the two
+verdict rules every check goes through: worst_case for inequalities and
+tolerances, exact_case for exact equalities."""
 
 from dataclasses import dataclass
 
@@ -49,3 +50,21 @@ def worst_case(name: str, rng: tuple[int, int], inputs, lhs, rhs, margins,
                       margin=margin)
     passed = margin > floor if strict else margin >= floor
     return VerificationOutcome(name, rng, passed, witness)
+
+
+def exact_case(name: str, rng: tuple[int, int], inputs, lhs,
+               rhs) -> VerificationOutcome:
+    """Outcome of an exact equality, lhs == rhs in every case.
+
+    The witness is the first case where they differ, with margin
+    -|lhs - rhs|, or the last case, with margin 0.0, when none does.
+    ``lhs`` and ``rhs`` may be scalars; integers are compared and
+    subtracted as integers.
+    """
+    lhs, rhs = np.broadcast_arrays(lhs, rhs)
+    bad = np.flatnonzero(lhs != rhs)
+    j = int(bad[0]) if bad.size else len(inputs) - 1
+    a, b = lhs[j].item(), rhs[j].item()
+    witness = Witness(input=int(inputs[j]), lhs=float(a), rhs=float(b),
+                      margin=0.0 - abs(a - b))
+    return VerificationOutcome(name, rng, not bad.size, witness)

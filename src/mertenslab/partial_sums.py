@@ -3,7 +3,8 @@
 The three central sums (Lambda(m)/m, log p/p, 1/p) are evaluated with
 exactly rounded accumulation; the residual report compares S(x) against
 loglog x + M at caller-chosen sample points. The limit constant is
-estimated by two independent routes that must agree.
+estimated by two independent routes that must agree; both verify and
+constants read that agreement from meissel_mertens_agreement.
 
 The exhaustive sweeps hold each sum, a step function, against a
 monotone curve at the piece ends from summation.piece_ends, the
@@ -12,13 +13,13 @@ primitive the bounds and density sweeps share.
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .arith import prime_power_terms
 from .errors import DomainError
-from .outcomes import VerificationOutcome, Witness, worst_case
+from .outcomes import VerificationOutcome, worst_case
 from .sieve import SieveTable
 from .summation import (_jump_cumulative, fsum, piece_ends, running_sums,
                          step_values)
@@ -178,6 +179,22 @@ def meissel_mertens_from_series(table: SieveTable,
                             error_bound=1.0 / prime_limit)
 
 
+def meissel_mertens_agreement(table: SieveTable) -> tuple[
+        ConstantEstimate, ConstantEstimate, VerificationOutcome]:
+    """Both estimates of the limit constant and whether they agree: the
+    outcome "mm-route-agreement" passes when their distance is within
+    the sum of their error bounds. The series runs over primes up to
+    min(limit, 1e7), the tail at the table limit."""
+    prime_limit = min(table.limit, 10 ** 7)
+    series = meissel_mertens_from_series(table, prime_limit)
+    tail = meissel_mertens_from_tail(table, table.limit)
+    delta = abs(series.value - tail.value)
+    combined = series.error_bound + tail.error_bound
+    return series, tail, worst_case(
+        "mm-route-agreement", (prime_limit, table.limit), [table.limit],
+        [delta], combined, [combined - delta])
+
+
 def log_zeta_truncation(table: SieveTable, s: float, n_max: int) -> float:
     """Truncated Dirichlet series of log zeta: Lambda(n)/(log n * n^s)."""
     if not s > 1:
@@ -240,13 +257,9 @@ def lambda_mertens_gap_sweep(table: SieveTable, x_max: int,
     n_primes = table.primes_upto(x_max).size
     hp = ms[n_primes:]
     terms = logs[n_primes:] / hp.astype(np.float64)
-    if hp.size == 0:
-        w = Witness(input=x_max, lhs=0.0, rhs=ceiling, margin=ceiling)
-        return VerificationOutcome("lambda-mertens-gap", (2, x_max), True, w)
     pos, cum = _jump_cumulative(hp, terms)
-    gap_max = float(cum[-1])
-    gap_min = float(np.min(cum))
-    ok = 0.0 <= gap_min and gap_max <= ceiling
-    w = Witness(input=int(pos[-1]), lhs=gap_max, rhs=ceiling,
-                margin=ceiling - gap_max)
-    return VerificationOutcome("lambda-mertens-gap", (2, x_max), ok, w)
+    if pos.size == 0:       # no higher power yet: the gap is 0 throughout
+        pos, cum = np.array([x_max]), np.zeros(1)
+    out = worst_case("lambda-mertens-gap", (2, x_max), pos, cum, ceiling,
+                     ceiling - cum)
+    return replace(out, passed=out.passed and bool(cum.min() >= 0.0))

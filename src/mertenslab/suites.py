@@ -7,15 +7,17 @@ thread pool; outcomes are collected in list order, so output is
 byte-identical for any thread count.
 """
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
 from . import arith, bounds, density, partial_sums
 from .errors import DomainError
-from .outcomes import VerificationOutcome, Witness, worst_case
+from .outcomes import VerificationOutcome, worst_case
 from .sieve import SieveTable
 
 SUITE_NAMES = ("identities", "bounds", "asymptotics", "density")
+ABEL_REL_TOL = 1e-12
 
 _TOLERANCE_DEFAULTS = {
     "log-sum-identity": 1e-12,
@@ -43,12 +45,14 @@ def resolve_tolerances(overrides: dict[str, float] | None) -> dict[str, float]:
 
 
 def _report_outcome(name: str, report) -> VerificationOutcome:
-    worst = min(report.rows, key=lambda r: r.tolerance - abs(r.residual))
-    witness = Witness(input=worst.x, lhs=abs(worst.residual),
-                      rhs=worst.tolerance,
-                      margin=worst.tolerance - abs(worst.residual))
-    return VerificationOutcome(name, (report.rows[0].x, report.rows[-1].x),
-                               report.passed, witness)
+    """The row with the least room in its envelope; the report's own
+    verdict adds its further rules (decade monotonicity)."""
+    rows = report.rows
+    resids = [abs(r.residual) for r in rows]
+    out = worst_case(name, (rows[0].x, rows[-1].x), [r.x for r in rows],
+                     resids, [r.tolerance for r in rows],
+                     [r.tolerance - a for r, a in zip(rows, resids)])
+    return dataclasses.replace(out, passed=out.passed and report.passed)
 
 
 def _decades(lo_exp: int, hi_exp: int, limit: int) -> list[int]:
@@ -108,8 +112,7 @@ def bounds_checks(table: SieveTable, tols: dict[str, float]) -> list:
     return checks
 
 
-def _abel_exactness(table: SieveTable, xs: list[int],
-                    rel_tol: float = 1e-12) -> VerificationOutcome:
+def _abel_exactness(table: SieveTable, xs: list[int]) -> VerificationOutcome:
     """Abel reconstruction of S(x) from log p/p weights, per sample x."""
     f = lambda t: 1.0 / math.log(t)
     fp = lambda t: -1.0 / (t * math.log(t) ** 2)
@@ -121,21 +124,8 @@ def _abel_exactness(table: SieveTable, xs: list[int],
             weights[:table.primes_upto(x).size], f, fp, 2.0, float(x))
         ref = partial_sums.reciprocal_prime_sum(table, x)
         rels.append(abs(got - ref) / ref)
-    return worst_case("abel-exactness", (xs[0], xs[-1]), xs, rels, rel_tol,
-                      [rel_tol - rel for rel in rels])
-
-
-def _mm_route_agreement(table: SieveTable) -> VerificationOutcome:
-    series = partial_sums.meissel_mertens_from_series(
-        table, min(table.limit, 10 ** 7))
-    tail = partial_sums.meissel_mertens_from_tail(table, table.limit)
-    delta = abs(series.value - tail.value)
-    combined = series.error_bound + tail.error_bound
-    w = Witness(input=table.limit, lhs=delta, rhs=combined,
-                margin=combined - delta)
-    return VerificationOutcome("mm-route-agreement",
-                               (min(table.limit, 10 ** 7), table.limit),
-                               delta <= combined, w)
+    return worst_case("abel-exactness", (xs[0], xs[-1]), xs, rels,
+                      ABEL_REL_TOL, [ABEL_REL_TOL - rel for rel in rels])
 
 
 def _log_zeta_reference(table: SieveTable, s: float, reference: float,
@@ -143,10 +133,9 @@ def _log_zeta_reference(table: SieveTable, s: float, reference: float,
     n_max = min(table.limit, 10 ** 6)
     # the dropped tail is below 2 * n^(1-s), so widen at small tables
     tol = max(pinned_tol, 2.0 * n_max ** (1.0 - s))
-    got = partial_sums.log_zeta_truncation(table, s, n_max)
-    diff = abs(got - reference)
-    w = Witness(input=n_max, lhs=diff, rhs=tol, margin=tol - diff)
-    return VerificationOutcome(f"log-zeta-s{s:g}", (2, n_max), diff <= tol, w)
+    diff = abs(partial_sums.log_zeta_truncation(table, s, n_max) - reference)
+    return worst_case(f"log-zeta-s{s:g}", (2, n_max), [n_max], [diff], tol,
+                      [tol - diff])
 
 
 def asymptotics_checks(table: SieveTable, tols: dict[str, float]) -> list:
@@ -165,7 +154,8 @@ def asymptotics_checks(table: SieveTable, tols: dict[str, float]) -> list:
                 table, _decades(3, 7, L),
                 partial_sums.MEISSEL_MERTENS_REFERENCE, tols["mertens2-c"]))))
         checks.append(("mm-route-agreement",
-                       lambda: _mm_route_agreement(table)))
+                       lambda: partial_sums.meissel_mertens_agreement(
+                           table)[2]))
     if L >= 100:
         abel_xs = [x for x in (100, 10 ** 4, 10 ** 6) if x <= L]
         checks.append(("abel-exactness",

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from mertenslab import arith as A
 from mertenslab.errors import DomainError
-from mertenslab.sieve import factorize
+from mertenslab.outcomes import Witness
+from mertenslab.sieve import Factorization, factorize
 
 from oracles import (divisor_lambda_loop, factorial_exponent, mobius_brute,
                      trial_factorize)
@@ -100,6 +101,10 @@ def test_log_factorial_routes_agree(table_1e4):
 def test_verify_log_sum_identity(table_1e4):
     for k in (1, 12, 97, 9973, 10 ** 4):
         assert A.verify_log_sum_identity(table_1e4, k).passed
+    one = A.verify_log_sum_identity(table_1e4, 1)
+    assert one.range == (1, 1)
+    assert one.worst_witness == Witness(input=1, lhs=0.0, rhs=1e-12,
+                                        margin=1e-12)
 
 
 def test_chebyshev_psi(table_1e4):
@@ -210,3 +215,36 @@ def test_divisor_lambda_sums_matches_prime_power_loop(table_1e5, x):
 def test_log_sum_identity_sweep_needs_k_max_two(table_1e4, k_max):
     with pytest.raises(DomainError, match=f"n={k_max} outside"):
         A.log_sum_identity_sweep(table_1e4, k_max)
+
+
+def test_legendre_sweep_witness_is_first_miss(table_1e4, monkeypatch):
+    # a wrong exponent of 2 in 12 misses every n >= 12 by one, a wrong
+    # exponent of 5 in 50 every n >= 50 by three more; n = 12 is the witness
+    wrong = {12: [(2, 3), (3, 1)], 50: [(2, 1), (5, 5)]}
+    real = A.factorize
+
+    def planted(table, k):
+        return Factorization(k, wrong[k]) if k in wrong else real(table, k)
+
+    monkeypatch.setattr(A, "factorize", planted)
+    out = A.legendre_exact_sweep(table_1e4, 100)
+    assert not out.passed and out.range == (2, 100)
+    assert out.worst_witness == Witness(input=12, lhs=1.0, rhs=0.0,
+                                        margin=-1.0)
+
+
+def test_psi_theta_dominance_needs_the_break_at_4(table_1e4, monkeypatch):
+    # without 4 among the prime powers psi = theta until 8: psi >= theta
+    # still holds, so only the break-at-4 clause can fail the check
+    real = A.prime_power_terms
+
+    def without_4(table, x):
+        ms, logs = real(table, x)
+        keep = ms != 4
+        return ms[keep], logs[keep]
+
+    monkeypatch.setattr(A, "prime_power_terms", without_4)
+    out = A.psi_theta_dominance_sweep(table_1e4, 1000)
+    assert not out.passed
+    assert out.worst_witness.margin == 0.0
+    assert A.psi_theta_dominance_sweep(table_1e4, 3).passed

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from mertenslab import arith
 from mertenslab import bounds as B
 from mertenslab.errors import DomainError
 
@@ -45,6 +46,19 @@ def test_psi_linear_rejects_tight_constants(table_1e4):
     out = B.check_psi_linear(table_1e4, 10 ** 4, c1=0.4, c2=1.2)
     assert not out.passed          # Psi(2)/2 = 0.3466 < 0.4
     assert out.worst_witness.input == 2
+
+
+@pytest.mark.parametrize("c1, c2, line_side", [(0.4, 1.2, "lhs"),
+                                               (0.1, 0.9, "rhs")])
+def test_psi_linear_witness_sides(table_1e4, c1, c2, line_side):
+    # the lower side's witness is (c1 x, psi), the upper side's (psi, c2 x),
+    # and neither line may be overwritten by a margin
+    w = B.check_psi_linear(table_1e4, 10 ** 4, c1, c2).worst_witness
+    c, psi = (c1, w.rhs) if line_side == "lhs" else (c2, w.lhs)
+    assert getattr(w, line_side) == c * w.input
+    assert psi == pytest.approx(arith.chebyshev_psi(table_1e4, w.input),
+                                rel=1e-14)
+    assert w.margin == w.rhs - w.lhs < 0.0
 
 
 def test_primorial_bound(table_1e4):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mertenslab import cli
+from mertenslab import cli, partial_sums
 from mertenslab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -193,13 +194,44 @@ def test_verify_all_matches_golden_1e7(capsys, tmp_path, threads):
         "outcomes": list(golden["outcomes"].values())}
 
 def test_constants(capsys):
+    # reference output, byte for byte
     code, out, _ = run_cli(capsys, "constants", "--limit", "100000")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith(
-        "constant=meissel-mertens route=gamma-plus-prime-series")
-    assert lines[1].startswith("constant=meissel-mertens route=tail-limit")
-    assert lines[2].endswith("PASS")
+    assert out.encode() == (DATA / "constants_1e5.txt").read_bytes()
+
+def test_constants_and_verify_share_the_agreement(capsys, monkeypatch):
+    # a tail estimate far off fails both commands, with the same delta
+    real = partial_sums.meissel_mertens_from_tail
+
+    def off_tail(table, x):
+        est = real(table, x)
+        return dataclasses.replace(est, value=est.value + 1.0)
+
+    monkeypatch.setattr(partial_sums, "meissel_mertens_from_tail", off_tail)
+    code, out, _ = run_cli(capsys, "constants", "--limit", "100000")
+    assert code == 1
+    agreement = out.splitlines()[2]
+    assert agreement.endswith(" FAIL")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "asymptotics",
+                           "--limit", "100000")
+    assert code == 1
+    line = next(l for l in out.splitlines() if "mm-route-agreement" in l)
+    assert line.startswith("FAIL ")
+    delta = agreement.split()[1].removeprefix("delta=")
+    assert f"lhs={delta}," in line
+
+def test_verify_mertens2_fails_on_growing_decade_residuals(capsys,
+                                                         monkeypatch):
+    # M raised by 0.01 leaves every residual inside its c/log x envelope
+    # but makes |residual| grow from decade to decade
+    monkeypatch.setattr(partial_sums, "MEISSEL_MERTENS_REFERENCE",
+                        partial_sums.MEISSEL_MERTENS_REFERENCE + 0.01)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "asymptotics",
+                           "--limit", "100000")
+    assert code == 1
+    line = next(l for l in out.splitlines() if "mertens2-residuals" in l)
+    assert line.startswith("FAIL ")
+    assert float(line.split("margin=")[1].rstrip(")")) > 0.0
 
 def test_constants_limit_guard(capsys):
     code, _, _ = run_cli(capsys, "constants", "--limit", "1000")

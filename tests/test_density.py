@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mertenslab import density as D
 from mertenslab.errors import DomainError
+from mertenslab.outcomes import Witness
 from mertenslab.sieve import largest_prime_factor
 
 from oracles import census_brute, trial_largest_factor
@@ -169,3 +170,29 @@ def test_split_identity_sweep_reports_first_mismatch(table_1e4, monkeypatch,
     assert not outcome.passed
     assert (w.input, w.lhs, w.rhs, w.margin) == (
         bad, totals[bad] - 1, totals[bad], -1.0)
+
+
+@pytest.mark.parametrize("spots, bad, hi", [
+    ((5000, 20000), 20000, 20000),
+    ((5000, 20000), 5000, 5000),
+    ((500, 5000), 500, 1000),
+])
+def test_bijection_sweep_spot_mismatch(table_1e5, monkeypatch, spots, bad,
+                                       hi):
+    # a census one too high at the spot x = bad; the range ends at the
+    # larger of x_max = 1000 and that spot
+    real = D.census_oracle
+    monkeypatch.setattr(D, "census_oracle", lambda table, x: real(table, x)
+                        + (x == bad))
+    out = D.bijection_sweep(table_1e5, 1000, spots)
+    g = D.g_count(table_1e5, bad)
+    assert not out.passed and out.range == (2, hi)
+    assert out.worst_witness == Witness(input=bad, lhs=float(g),
+                                        rhs=float(g + 1), margin=-1.0)
+
+
+def test_bijection_sweep_pass_range_covers_spots(table_1e5):
+    out = D.bijection_sweep(table_1e5, 1000, (5000, 20000))
+    g = float(D.g_count(table_1e5, 1000))
+    assert out.passed and out.range == (2, 20000)
+    assert out.worst_witness == Witness(input=1000, lhs=g, rhs=g, margin=0.0)

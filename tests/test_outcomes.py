@@ -3,7 +3,7 @@ import pytest
 
 from mertenslab import arith, bounds, density, partial_sums
 from mertenslab.errors import DomainError
-from mertenslab.outcomes import Witness, worst_case
+from mertenslab.outcomes import Witness, exact_case, worst_case
 
 
 def test_worst_case_first_smallest_margin():
@@ -49,6 +49,38 @@ def test_two_sided_tie_keeps_first_side():
     by_margin = lambda o: o.worst_witness.margin
     assert min(upper, lower, key=by_margin) is upper
     assert min(lower, upper, key=by_margin) is lower
+
+
+def test_exact_case_first_mismatch_wins():
+    # a later and larger miss must not displace the first
+    out = exact_case("c", (2, 6), np.arange(2, 7), np.array([1, 2, 9, 4, 99]),
+                     np.array([1, 2, 3, 4, 0]))
+    assert not out.passed
+    assert out.worst_witness == Witness(input=4, lhs=9.0, rhs=3.0,
+                                        margin=-6.0)
+
+
+def test_exact_case_pass_witness_is_last_case():
+    out = exact_case("c", (2, 4), np.arange(2, 5), np.array([5, 6, 7]),
+                     np.array([5, 6, 7]))
+    assert out.passed and out.range == (2, 4)
+    assert out.worst_witness == Witness(input=4, lhs=7.0, rhs=7.0,
+                                        margin=0.0)
+    assert repr(out.worst_witness.margin) == "0.0"
+    # signed zeros are equal, and the margin is still +0.0
+    zero = exact_case("c", (1, 1), [1], [-0.0], [0.0])
+    assert zero.passed and repr(zero.worst_witness.margin) == "0.0"
+
+
+def test_exact_case_lists_and_integers():
+    out = exact_case("c", (3, 5), [3, 4, 5], [0, 0, 1], 0)
+    w = out.worst_witness
+    assert not out.passed
+    assert (w.input, w.lhs, w.rhs, w.margin) == (5, 1.0, 0.0, -1.0)
+    assert type(w.input) is int and type(w.lhs) is float
+    # integers differ by 1 above 2^53, where their floats coincide
+    big = exact_case("c", (1, 1), [1], [2 ** 53 + 1], [2 ** 53])
+    assert not big.passed and big.worst_witness.margin == -1.0
 
 
 GUARDED = [

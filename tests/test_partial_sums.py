@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mertenslab import partial_sums as P
 from mertenslab.errors import DomainError
+from mertenslab.outcomes import Witness
 
 from oracles import abel_summation_loop, abel_summation_quadrature
 
@@ -147,9 +149,38 @@ def test_meissel_mertens_from_series(table_1e6):
 
 
 def test_route_agreement(table_1e6):
-    series = P.meissel_mertens_from_series(table_1e6, 10 ** 6)
-    tail = P.meissel_mertens_from_tail(table_1e6, 10 ** 6)
-    assert abs(series.value - tail.value) <= tail.error_bound
+    series, tail, out = P.meissel_mertens_agreement(table_1e6)
+    assert series == P.meissel_mertens_from_series(table_1e6, 10 ** 6)
+    assert tail == P.meissel_mertens_from_tail(table_1e6, 10 ** 6)
+    delta = abs(series.value - tail.value)
+    assert delta <= tail.error_bound
+    assert out.name == "mm-route-agreement" and out.passed
+    assert out.range == (10 ** 6, 10 ** 6)
+    assert (out.worst_witness.lhs, out.worst_witness.rhs) == (
+        delta, series.error_bound + tail.error_bound)
+
+
+def test_lambda_mertens_gap_fails_on_negative_gap(table_1e4, monkeypatch):
+    # a negative weight at 4 pulls the gap below 0 while it stays far under
+    # the ceiling: only the gap >= 0 clause can fail the check
+    real = P.prime_power_terms
+
+    def planted(table, x):
+        ms, logs = real(table, x)
+        return ms, np.where(ms == 4, -4.0, logs)
+
+    monkeypatch.setattr(P, "prime_power_terms", planted)
+    out = P.lambda_mertens_gap_sweep(table_1e4, 1000)
+    assert not out.passed
+    assert out.worst_witness.margin > 0.0
+
+
+def test_lambda_mertens_gap_before_any_higher_power(table_1e4):
+    for x in (2, 3):
+        out = P.lambda_mertens_gap_sweep(table_1e4, x)
+        assert out.passed and out.range == (2, x)
+        assert out.worst_witness == Witness(input=x, lhs=0.0, rhs=1.0,
+                                            margin=1.0)
 
 
 def test_log_zeta_truncation(table_1e6):
