@@ -8,15 +8,15 @@ sweep variants the verification suites run over exhaustive ranges.
 
 import dataclasses
 import math
-from collections import defaultdict
 
 import numpy as np
 
 from .errors import DomainError
 from .outcomes import VerificationOutcome, exact_case, worst_case
-from .sieve import Factorization, SieveTable, factorize
-from .summation import (_jump_cumulative, compensated_cumsum, fsum,
-                         piece_ends, step_values)
+from .sieve import (Factorization, SieveTable, divide_out, factor_exponents,
+                    factorize)
+from .summation import (_jump_cumulative, _multiples, compensated_cumsum,
+                         dirichlet, fsum, piece_ends, step_values)
 
 PSI_THETA_TOL = 1e-12
 
@@ -166,24 +166,17 @@ def generalized_lambda(table: SieveTable, n: int, k: int) -> float:
     """Divisor sum of mu(d) log^k(n/d); k = 1 reproduces von_mangoldt.
 
     Only squarefree d contribute, so the sum runs over subsets of the
-    distinct primes of n with sign by subset parity.
+    distinct primes of n, built by doubling, with sign by subset parity.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     table.check_range(n, lo=1)
     if n == 1:
         return 0.0
-    ps = [p for p, _ in factorize(table, n).factors]
-    return fsum(_mobius_log_terms(n, ps, k))
-
-
-def _mobius_log_terms(n: int, ps: list[int], k: int) -> list[float]:
-    """mu(d) log^k(n/d) for every squarefree divisor d of n, whose
-    distinct primes are ps; d runs over subsets of ps built by doubling."""
     divs = [(1.0, 1)]
-    for p in ps:
+    for p, _ in factorize(table, n).factors:
         divs += [(-mu, d * p) for mu, d in divs]
-    return [mu * math.log(n // d) ** k for mu, d in divs]
+    return fsum([mu * math.log(n // d) ** k for mu, d in divs])
 
 
 def verify_selberg_identity(table: SieveTable, n: int,
@@ -212,6 +205,18 @@ def lambda_values(table: SieveTable, x: int) -> np.ndarray:
     ms, logs = prime_power_terms(table, x)
     arr[ms] = logs
     return arr
+
+
+def mobius_values(table: SieveTable, x: int) -> np.ndarray:
+    """mu(n) for n = 0..x as an int64 array (0 at n = 0), read off
+    factor_exponents: 0 where some exponent is >= 2, else -1 to the
+    number of distinct primes."""
+    table.check_range(x, lo=0)
+    ks, _, es = factor_exponents(table, x)
+    mu = np.where(np.bincount(ks, minlength=x + 1) % 2, -1, 1)
+    mu[ks[es >= 2]] = 0
+    mu[0] = 0
+    return mu
 
 
 def psi_table(table: SieveTable, x: int) -> np.ndarray:
@@ -287,26 +292,31 @@ def log_sum_identity_sweep(table: SieveTable, k_max: int,
 def legendre_exact_sweep(table: SieveTable, n_max: int) -> VerificationOutcome:
     """Exact check: Legendre's valuation of each prime p in n! equals the
     exponent accumulated by factorizing 2..n, for every n <= n_max and
-    every p <= n. Integer equality, zero tolerance."""
+    every p <= n. Integer equality, zero tolerance.
+
+    For each p the gap between the two is a step function of n. Legendre's
+    sum of floor(n / p^i) rises at each multiple k of p by the number of
+    powers p^i dividing k, and the accumulated exponent rises by e at each
+    (k, p, e) that factor_exponents reports, wherever k lies. Sorted by
+    (p, k), each event moves |gap| of its p, and one difference array
+    adds those moves up into the per-n miss count sum_p |gap|.
+    """
     table.check_range(n_max)
-    positions: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for k in range(2, n_max + 1):
-        for p, e in factorize(table, k).factors:
-            positions[p].append((k, e))
-    ns = np.arange(n_max + 1, dtype=np.int64)
-    misses = np.zeros(n_max + 1, dtype=np.int64)
-    for p in sorted(positions):
-        nu = np.zeros(n_max + 1, dtype=np.int64)
-        ks, es = zip(*positions[p])
-        nu[list(ks)] = es
-        legendre = np.zeros(n_max + 1, dtype=np.int64)
-        pk = p
-        while pk <= n_max:
-            legendre += ns // pk
-            pk *= p
-        misses += np.abs(np.cumsum(nu) - legendre)
-    return exact_case("legendre-exponent-exact", (2, n_max), ns[2:],
-                      misses[2:], 0)
+    ks, ps, es = factor_exponents(table, n_max)
+    at, j = _multiples(table.primes_upto(n_max), n_max)
+    rise = divide_out(j, at)[1] + 1     # the powers of p = at dividing j p
+    p, k = np.concatenate((at, ps)), np.concatenate((at * j, ks))
+    step = np.concatenate((-rise, es))
+    order = np.lexsort((k, p))
+    p, k, step = p[order], k[order], step[order]
+    gap = np.cumsum(step)           # restarted at each p's first event
+    first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+    gap -= np.repeat(gap[first] - step[first], np.diff(np.r_[first, p.size]))
+    moves = np.zeros(n_max + 1, dtype=np.int64)
+    np.add.at(moves, k, np.abs(gap) - np.abs(gap - step))
+    misses = np.cumsum(moves)
+    return exact_case("legendre-exponent-exact", (2, n_max),
+                      np.arange(2, n_max + 1), misses[2:], 0)
 
 
 def logfact_dual_route_sweep(table: SieveTable, n_max: int,
@@ -320,30 +330,34 @@ def logfact_dual_route_sweep(table: SieveTable, n_max: int,
                       np.arange(2, n_max + 1), rel, rel_tol, rel_tol - rel)
 
 
+def _log_powers(n_max: int, k: int) -> np.ndarray:
+    """log^k m for m = 0..n_max (0.0 at m = 0), as math.log(m) ** k: the
+    float the point functions use, which np.log may miss by a bit."""
+    return np.array([0.0, *(math.log(m) ** k for m in range(1, n_max + 1))])
+
+
 def selberg_sweep(table: SieveTable, n_max: int,
                   abs_tol: float = 1e-9) -> VerificationOutcome:
-    """Selberg identity by brute-force divisor enumeration, n <= n_max."""
+    """Selberg identity Lambda log + Lambda * Lambda = mu * log^2 for every
+    n <= n_max, both sides as exactly rounded Dirichlet convolutions."""
     table.check_range(n_max, lo=1)
-    lam = lambda_values(table, n_max).tolist()
-    logs = [0.0, *np.log(np.arange(1, n_max + 1, dtype=np.float64)).tolist()]
-    diffs = np.zeros(n_max, dtype=np.float64)    # diffs[n - 1]; 0.0 at n = 1
-    for n in range(2, n_max + 1):
-        fact = factorize(table, n)
-        lhs = lam[n] * logs[n] + math.fsum(
-            lam[d] * lam[n // d] for d in divisors(fact))
-        rhs = fsum(_mobius_log_terms(n, [p for p, _ in fact.factors], 2))
-        diffs[n - 1] = abs(lhs - rhs)
+    lam = lambda_values(table, n_max)
+    log_n = np.log(np.arange(1, n_max + 1, dtype=np.float64))
+    lhs = lam[1:] * log_n + dirichlet(lam, lam, n_max)[1:]
+    rhs = dirichlet(mobius_values(table, n_max), _log_powers(n_max, 2), n_max)
+    diffs = np.abs(lhs - rhs[1:])
     return worst_case("selberg-identity", (1, n_max), np.arange(1, n_max + 1),
                       diffs, abs_tol, abs_tol - diffs)
 
 
 def generalized_lambda_k1_sweep(table: SieveTable, n_max: int,
                                 abs_tol: float = 1e-12) -> VerificationOutcome:
-    """Lambda_1 must coincide with the point von Mangoldt values."""
+    """Lambda_1 = mu * log must coincide with the point von Mangoldt values."""
     table.check_range(n_max, lo=1)
-    diffs = np.array([abs(generalized_lambda(table, n, 1)
-                          - von_mangoldt(table, n))
-                      for n in range(1, n_max + 1)])
+    lam1 = dirichlet(mobius_values(table, n_max), _log_powers(n_max, 1),
+                     n_max)
+    point = np.array([von_mangoldt(table, n) for n in range(1, n_max + 1)])
+    diffs = np.abs(lam1[1:] - point)
     return worst_case("generalized-lambda-k1", (1, n_max),
                       np.arange(1, n_max + 1), diffs, abs_tol, abs_tol - diffs)
 

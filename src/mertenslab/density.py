@@ -109,13 +109,21 @@ def g_count_all(table: SieveTable, x_max: int) -> np.ndarray:
     min(p-1, floor(x/p)) counts the multiples kp <= x with k <= p-1, so
     each prime contributes +1 steps at p, 2p, ..., (p-1)p; a difference
     array turns that into G for all x at once. Pure algebra on the pair
-    count, independent of any factorization.
+    count, independent of any factorization. The primes with
+    p(p-1) <= x_max take strided adds. Every other prime exceeds
+    sqrt x_max and counts all its multiples kp <= x_max, as then
+    k < p - 1; they reach them by one scatter per quotient k.
     """
     table.check_range(x_max)
     diff = np.zeros(x_max + 1, dtype=np.int64)
-    for p in table.primes_upto(x_max).tolist():
-        stop = min(p * (p - 1), x_max) + 1
-        diff[p:stop:p] += 1
+    ps = table.primes_upto(x_max)
+    small = int(np.searchsorted(ps * (ps - 1), x_max, side="right"))
+    for p in ps[:small].tolist():
+        diff[p:p * (p - 1) + 1:p] += 1
+    big = ps[small:]
+    for k in range(1, math.isqrt(x_max) + 1):
+        n = int(np.searchsorted(big, x_max // k, side="right"))
+        diff[k * big[:n]] += 1
     return np.cumsum(diff)
 
 

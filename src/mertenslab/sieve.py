@@ -8,7 +8,8 @@ so cache behaviour stays flat at large limits, and each segment takes
 plain strided stores of the base primes, largest first, so no slot is
 read back; the finished table is immutable. Largest prime factors over
 a range come from one memoized pass over the SPF chains
-(largest_factor_range).
+(largest_factor_range), and the factorizations of a whole range from
+one vectorized walk down them (factor_exponents).
 """
 
 import math
@@ -128,6 +129,45 @@ def factorize(table: SieveTable, n: int) -> Factorization:
             e += 1
         factors.append((p, e))
     return Factorization(n=n, factors=factors)
+
+
+def divide_out(m: np.ndarray, p: np.ndarray):
+    """Each m[i] with every factor p[i] divided out, and how many times
+    p[i] divides m[i], as int64 arrays; m is left as it is."""
+    m, e = m.copy(), np.zeros_like(m)
+    more = np.flatnonzero(m % p == 0)
+    while more.size:
+        m[more] //= p[more]
+        e[more] += 1
+        more = more[m[more] % p[more] == 0]
+    return m, e
+
+
+def factor_exponents(table: SieveTable, n_max: int):
+    """Every factorization of 2..n_max at once, vectorized.
+
+    Returns int64 arrays (k, p, e), one entry per prime power p^e that
+    exactly divides k, ordered as factorize lists them: k ascending, then
+    p ascending. Read off the SPF chains LPF_CHUNK integers at a time:
+    each round divides every unfinished cofactor by its smallest prime
+    as often as it goes, and a stable sort by k puts the rounds in order.
+    """
+    table.check_range(n_max, lo=0)
+    spf = table.spf
+    none = np.empty(0, dtype=np.int64)
+    rounds = [(none, none, none)]
+    for lo in range(2, n_max + 1, LPF_CHUNK):
+        k = np.arange(lo, min(lo + LPF_CHUNK, n_max + 1), dtype=np.int64)
+        m = k
+        while k.size:
+            p = spf[m].astype(np.int64)
+            m, e = divide_out(m, p)
+            rounds.append((k, p, e))
+            rest = m > 1
+            k, m = k[rest], m[rest]
+    ks, ps, es = (np.concatenate(col) for col in zip(*rounds))
+    order = np.argsort(ks, kind="stable")
+    return ks[order], ps[order], es[order]
 
 
 def nth_prime(table: SieveTable, n: int) -> int:

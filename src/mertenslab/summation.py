@@ -3,7 +3,9 @@
 math.fsum is the scalar workhorse: it returns the exactly rounded sum of
 its inputs, which is stronger than Kahan compensation and independent of
 input order, so no result here can depend on thread count or shard
-boundaries. Prefix sums are built blockwise with fsum-anchored offsets.
+boundaries. Prefix sums are built blockwise with fsum-anchored offsets,
+and dirichlet sums each n's divisor terms by fsum, so a convolution is
+bit for bit the one a per-n divisor loop would give.
 
 Every prime sum is a step function of its upper limit: _jump_cumulative
 turns jump positions and sizes into its prefix sums, piece_ends lists
@@ -31,6 +33,36 @@ def fsum(values) -> float:
     if isinstance(values, np.ndarray):
         return math.fsum(memoryview(values))
     return math.fsum(values)
+
+
+def _multiples(bases: np.ndarray, x: int):
+    """Every multiple n = d j <= x of every d in ``bases`` (all >= 1) as
+    flat arrays (d, j): d in the order of ``bases``, j ascending."""
+    counts = x // bases
+    d = np.repeat(bases, counts)
+    return d, np.arange(d.size) - np.repeat(np.cumsum(counts) - counts,
+                                            counts) + 1
+
+
+def dirichlet(f: np.ndarray, g: np.ndarray, x: int) -> np.ndarray:
+    """The Dirichlet convolution h(n) = sum over d | n of f(d) g(n/d), for
+    every n = 0..x at once (h(0) = 0.0); f and g are indexed 0..x.
+
+    Each d with f(d) != 0 spreads f(d) g(j) onto its multiples n = d j as
+    flat arrays, the terms are grouped by n with a stable sort, and each
+    n's terms are summed by fsum. Exact rounding makes h(n) independent
+    of term order and of the zero terms left out, so it is bit for bit
+    the fsum of a loop over the divisors of n. Holds O(x log x) terms.
+    """
+    d, j = _multiples(np.flatnonzero(f[1:x + 1]) + 1, x)
+    n = d * j
+    terms = (f[d] * g[j])[np.argsort(n, kind="stable")].tolist()
+    sizes = np.bincount(n, minlength=x + 1)
+    ns = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes[ns]).tolist()
+    h = np.zeros(x + 1, dtype=np.float64)
+    h[ns] = [fsum(terms[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
+    return h
 
 
 def compensated_cumsum(values) -> np.ndarray:

@@ -50,6 +50,94 @@ def divisor_lambda_loop(x: int) -> np.ndarray:
     return sums
 
 
+def g_count_all_loop(x_max: int) -> np.ndarray:
+    """G(x) for x = 0..x_max from one strided add per prime p <= x_max
+    onto its multiples p, 2p, ..., min((p-1)p, x_max), then a cumsum."""
+    diff = np.zeros(x_max + 1, dtype=np.int64)
+    for p in trial_primes(x_max):
+        diff[p:min(p * (p - 1), x_max) + 1:p] += 1
+    return np.cumsum(diff)
+
+
+def divisors_brute(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending, from its trial factorization."""
+    divs = [1]
+    for p, e in trial_factorize(n):
+        divs = [d * p ** i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
+def lambda_list(x: int) -> list[float]:
+    """Lambda(n) for n = 0..x, log p being np.log over the array of the
+    primes <= x: the weights the package's whole-range tables use."""
+    primes = trial_primes(x)
+    lam = [0.0] * (x + 1)
+    for p, lp in zip(primes,
+                     np.log(np.array(primes, dtype=np.float64)).tolist()):
+        m = p
+        while m <= x:
+            lam[m] = lp
+            m *= p
+    return lam
+
+
+def selberg_diffs_loop(n_max: int) -> np.ndarray:
+    """|Lambda(n) log n + (Lambda * Lambda)(n) - sum_d mu(d) log^2(n/d)|
+    for n = 1..n_max, one divisor loop per n: log n by np.log over
+    1..n_max, log^2(m) as math.log(m) ** 2, each sum by math.fsum."""
+    lam = lambda_list(n_max)
+    logs = [0.0, *np.log(np.arange(1, n_max + 1, dtype=np.float64)).tolist()]
+    mu = [0, *map(mobius_brute, range(1, n_max + 1))]
+    diffs = []
+    for n in range(1, n_max + 1):
+        divs = divisors_brute(n)
+        lhs = lam[n] * logs[n] + math.fsum(lam[d] * lam[n // d] for d in divs)
+        rhs = math.fsum(mu[d] * math.log(n // d) ** 2 for d in divs)
+        diffs.append(abs(lhs - rhs))
+    return np.array(diffs)
+
+
+def k1_diffs_loop(n_max: int) -> np.ndarray:
+    """|sum_d mu(d) log(n/d) - Lambda(n)| for n = 1..n_max, one divisor
+    loop per n, with Lambda(p^a) = math.log(p) as the point values give."""
+    mu = [0, *map(mobius_brute, range(1, n_max + 1))]
+    diffs = []
+    for n in range(1, n_max + 1):
+        factors = trial_factorize(n)
+        point = math.log(factors[0][0]) if len(factors) == 1 else 0.0
+        lam1 = math.fsum(mu[d] * math.log(n // d) for d in divisors_brute(n))
+        diffs.append(abs(lam1 - point))
+    return np.array(diffs)
+
+
+def legendre_misses_loop(n_max: int) -> np.ndarray:
+    """For n = 2..n_max, the sum over the primes p <= n_max of
+    |exponent of p accumulated over the trial factorizations of 2..n
+    - Legendre's sum of floor(n / p^i)|: one pass per prime."""
+    ns = np.arange(n_max + 1, dtype=np.int64)
+    nu = {p: np.zeros(n_max + 1, dtype=np.int64) for p in trial_primes(n_max)}
+    for k in range(2, n_max + 1):
+        for p, e in trial_factorize(k):
+            nu[p][k] = e
+    misses = np.zeros(n_max + 1, dtype=np.int64)
+    for p, exps in nu.items():
+        legendre = np.zeros(n_max + 1, dtype=np.int64)
+        pk = p
+        while pk <= n_max:
+            legendre += ns // pk
+            pk *= p
+        misses += np.abs(np.cumsum(exps) - legendre)
+    return misses[2:]
+
+
+def dirichlet_brute(f, g, x: int) -> np.ndarray:
+    """h(n) = math.fsum of f(d) g(n/d) over every divisor d of n, found by
+    trying each d <= n, for n = 0..x; h(0) = 0.0."""
+    return np.array([0.0, *(math.fsum(f[d] * g[n // d]
+                                      for d in range(1, n + 1) if n % d == 0)
+                            for n in range(1, x + 1))])
+
+
 def census_brute(x_max: int) -> list[int]:
     """counts[x] = #{2 <= n <= x : P(n)^2 > n} for x = 0..max(x_max, 1),
     where P(n) is the largest prime factor by trial division."""

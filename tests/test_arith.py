@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from mertenslab import arith as A
 from mertenslab.errors import DomainError
 from mertenslab.outcomes import Witness
-from mertenslab.sieve import Factorization, factorize
+from mertenslab.sieve import factorize
 
-from oracles import (divisor_lambda_loop, factorial_exponent, mobius_brute,
+from oracles import (divisor_lambda_loop, factorial_exponent, k1_diffs_loop,
+                     legendre_misses_loop, mobius_brute, selberg_diffs_loop,
                      trial_factorize)
 
 
@@ -217,20 +218,120 @@ def test_log_sum_identity_sweep_needs_k_max_two(table_1e4, k_max):
         A.log_sum_identity_sweep(table_1e4, k_max)
 
 
+def test_mobius_values_match_point_and_brute(table_1e4):
+    mu = A.mobius_values(table_1e4, 10 ** 4)
+    assert mu.dtype == np.int64 and mu[0] == 0
+    assert mu[1:].tolist() == [A.mobius(table_1e4, n)
+                               for n in range(1, 10 ** 4 + 1)]
+    assert mu[1:].tolist() == [mobius_brute(n) for n in range(1, 10 ** 4 + 1)]
+    assert A.mobius_values(table_1e4, 0).tolist() == [0]
+    assert A.mobius_values(table_1e4, 1).tolist() == [0, 1]
+
+
+def _verdict_lhs(monkeypatch, verdict: str) -> list:
+    """Collects the lhs array each call of the verdict rule is handed."""
+    seen = []
+    real = getattr(A, verdict)
+
+    def spy(name, rng, inputs, lhs, *rest):
+        seen.append(np.asarray(lhs))
+        return real(name, rng, inputs, lhs, *rest)
+
+    monkeypatch.setattr(A, verdict, spy)
+    return seen
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 30, 210, 2310, 10 ** 4])
+def test_identity_sweeps_match_the_divisor_loops_bit_for_bit(
+        table_1e4, monkeypatch, n_max):
+    diffs = _verdict_lhs(monkeypatch, "worst_case")
+    assert A.selberg_sweep(table_1e4, n_max).passed
+    assert A.generalized_lambda_k1_sweep(table_1e4, n_max).passed
+    assert diffs[0].tobytes() == selberg_diffs_loop(n_max).tobytes()
+    assert diffs[1].tobytes() == k1_diffs_loop(n_max).tobytes()
+    if n_max >= 2:
+        misses = _verdict_lhs(monkeypatch, "exact_case")
+        assert A.legendre_exact_sweep(table_1e4, n_max).passed
+        assert misses[0].tobytes() == legendre_misses_loop(n_max).tobytes()
+
+
+def _plant_exponents(monkeypatch, planted: dict) -> None:
+    """factor_exponents with the exponent e at each (k, p) -> e of
+    ``planted`` with k <= n_max, replacing or adding that entry."""
+    real = A.factor_exponents
+
+    def with_planted(table, n_max):
+        ks, ps, es = real(table, n_max)
+        rows = dict(zip(zip(ks.tolist(), ps.tolist()), es.tolist()))
+        rows.update((kp, e) for kp, e in planted.items() if kp[0] <= n_max)
+        return tuple(np.array([(k, p, e)
+                               for (k, p), e in sorted(rows.items())]).T)
+
+    monkeypatch.setattr(A, "factor_exponents", with_planted)
+
+
 def test_legendre_sweep_witness_is_first_miss(table_1e4, monkeypatch):
-    # a wrong exponent of 2 in 12 misses every n >= 12 by one, a wrong
-    # exponent of 5 in 50 every n >= 50 by three more; n = 12 is the witness
-    wrong = {12: [(2, 3), (3, 1)], 50: [(2, 1), (5, 5)]}
-    real = A.factorize
-
-    def planted(table, k):
-        return Factorization(k, wrong[k]) if k in wrong else real(table, k)
-
-    monkeypatch.setattr(A, "factorize", planted)
+    # a wrong exponent of 2 in 12 misses every n >= 12 by one, an
+    # exponent of 3 in 31, which 3 does not divide, every n >= 31 by one
+    # more, a wrong exponent of 5 in 50 every n >= 50 by three more;
+    # n = 12 is the witness
+    _plant_exponents(monkeypatch, {(12, 2): 3, (31, 3): 1, (50, 5): 5})
+    misses = _verdict_lhs(monkeypatch, "exact_case")
     out = A.legendre_exact_sweep(table_1e4, 100)
     assert not out.passed and out.range == (2, 100)
     assert out.worst_witness == Witness(input=12, lhs=1.0, rhs=0.0,
                                         margin=-1.0)
+    assert misses[0].tolist() == [0] * 10 + [1] * 19 + [2] * 19 + [5] * 51
+
+
+def test_legendre_sweep_sees_an_exponent_where_p_does_not_divide(
+        table_1e4, monkeypatch):
+    _plant_exponents(monkeypatch, {(31, 3): 1})
+    assert A.legendre_exact_sweep(table_1e4, 30).passed
+    out = A.legendre_exact_sweep(table_1e4, 100)
+    assert out.worst_witness == Witness(input=31, lhs=1.0, rhs=0.0,
+                                        margin=-1.0)
+
+
+IDENTITY_SWEEPS = [A.selberg_sweep, A.generalized_lambda_k1_sweep]
+
+
+@pytest.mark.parametrize("sweep", IDENTITY_SWEEPS,
+                         ids=[f.__name__ for f in IDENTITY_SWEEPS])
+def test_identity_sweeps_fail_at_a_flipped_mobius_value(table_1e4,
+                                                        monkeypatch, sweep):
+    # mu(34) = 1 enters at n = 34 j through mu(34) log^k j, which is 0 at
+    # j = 1: n = 68 is the first n it moves, and the only one below 102
+    real = A.mobius_values
+
+    def flipped(table, x):
+        mu = real(table, x)
+        mu[34:35] *= -1
+        return mu
+
+    monkeypatch.setattr(A, "mobius_values", flipped)
+    assert sweep(table_1e4, 67).passed
+    out = sweep(table_1e4, 101)
+    assert not out.passed and out.worst_witness.input == 68
+
+
+@pytest.mark.parametrize("sweep", IDENTITY_SWEEPS,
+                         ids=[f.__name__ for f in IDENTITY_SWEEPS])
+def test_identity_sweeps_fail_without_the_d_equals_1_term(table_1e4,
+                                                          monkeypatch, sweep):
+    # a convolution that drops the d = 1 terms f(1) g(n) loses
+    # mu(1) log^k n from every n >= 2. Dropping d = n instead would go
+    # unseen: f(n) g(1) is 0 in both checks, as log 1 = Lambda(1) = 0.
+    real = A.dirichlet
+
+    def without_d_1(f, g, x):
+        return real(np.where(np.arange(f.size) == 1, 0, f), g, x)
+
+    monkeypatch.setattr(A, "dirichlet", without_d_1)
+    assert sweep(table_1e4, 1).passed
+    out = sweep(table_1e4, 2)
+    assert not out.passed and out.worst_witness.input == 2
+    assert not sweep(table_1e4, 10 ** 4).passed
 
 
 def test_psi_theta_dominance_needs_the_break_at_4(table_1e4, monkeypatch):

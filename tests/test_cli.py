@@ -146,6 +146,17 @@ def test_verify_tiny_limits(capsys):
                 lo, hi = line.split("range=[")[1].split("]")[0].split(",")
                 assert int(lo) <= int(hi), line
 
+def test_verify_identities_tiny_limits_snapshot(capsys):
+    # empty and one-chunk edges of the whole-range arrays, byte for byte
+    outs = []
+    for limit in (2, 3, 4, 5, 10, 100, 1000):
+        code, out, err = run_cli(capsys, "verify", "--suite", "identities",
+                                 "--limit", str(limit), "--threads", "1")
+        assert (limit, code, err) == (limit, 0, "")
+        outs.append(out)
+    assert "".join(outs).encode() == (
+        DATA / "verify_identities_small.txt").read_bytes()
+
 def test_verify_repeated_suite_runs_once(capsys, tmp_path):
     # each suite runs once, in the order it was first named
     paths = [tmp_path / "density.json", tmp_path / "identities.json",

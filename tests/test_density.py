@@ -10,7 +10,7 @@ from mertenslab.errors import DomainError
 from mertenslab.outcomes import Witness
 from mertenslab.sieve import largest_prime_factor
 
-from oracles import census_brute, trial_largest_factor
+from oracles import census_brute, g_count_all_loop, trial_largest_factor
 
 
 def test_largest_prime_factor_boundaries(table_1e4):
@@ -58,6 +58,16 @@ def test_g_count_all_matches_point_op(table_1e4):
     g_all = D.g_count_all(table_1e4, 3000)
     for x in range(2, 3001):
         assert int(g_all[x]) == D.g_count(table_1e4, x)
+
+
+@pytest.mark.parametrize("x", [2, 3, 4, 5, 6, 7, 10, 11, 12, 20, 42, 100,
+                               1000, 12345, 10 ** 5])
+def test_g_count_all_matches_the_prime_loop(table_1e5, x):
+    # p(p - 1) = 2, 6, 20, 42: at those x the prime 3, 5 or 7 moves from
+    # the per-quotient scatters to the strided adds
+    got = D.g_count_all(table_1e5, x)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, g_count_all_loop(x))
 
 
 def test_split_point():

@@ -11,6 +11,7 @@ from mertenslab.errors import DomainError, ResourceError
 from mertenslab.sieve import (
     MAX_LIMIT,
     build_sieve,
+    factor_exponents,
     factorize,
     largest_factor_range,
     largest_prime_factor,
@@ -79,6 +80,32 @@ def test_factorize_reads_python_ints(table_1e4):
         assert all(type(p) is int and type(e) is int for p, e in factors)
         assert math.prod(p ** e for p, e in factors) == n
         assert type(largest_prime_factor(table_1e4, n)) is int
+
+
+@pytest.mark.parametrize("chunk", [sieve.LPF_CHUNK, 1, 7, 1000])
+def test_factor_exponents_is_every_factorization(table_1e4, monkeypatch,
+                                                 chunk):
+    # small chunks put many chunk ends inside the range, one at every k
+    monkeypatch.setattr(sieve, "LPF_CHUNK", chunk)
+    ks, ps, es = factor_exponents(table_1e4, 10 ** 4)
+    assert ks.dtype == ps.dtype == es.dtype == np.int64
+    flat = [(k, p, e) for k in range(2, 10 ** 4 + 1)
+            for p, e in factorize(table_1e4, k).factors]
+    assert list(zip(ks.tolist(), ps.tolist(), es.tolist())) == flat
+    assert [(p, e) for k, p, e in flat if k <= 2310] == [
+        f for k in range(2, 2311) for f in trial_factorize(k)]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4])
+def test_factor_exponents_at_tiny_limits(table_1e4, n_max):
+    ks, ps, es = factor_exponents(table_1e4, n_max)
+    assert (ks.tolist(), ps.tolist(), es.tolist()) == {
+        0: ([], [], []), 1: ([], [], []), 2: ([2], [2], [1]),
+        3: ([2, 3], [2, 3], [1, 1]), 4: ([2, 3, 4], [2, 3, 2], [1, 1, 2]),
+    }[n_max]
+    for v in (-1, table_1e4.limit + 1):
+        with pytest.raises(DomainError):
+            factor_exponents(table_1e4, v)
 
 
 def test_factorize_examples(table_1e4):

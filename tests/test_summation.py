@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mertenslab.summation import CUMSUM_BLOCK, fsum, running_sums
+from mertenslab.summation import CUMSUM_BLOCK, dirichlet, fsum, running_sums
 
-from oracles import running_sum_loop
+from oracles import dirichlet_brute, running_sum_loop
 
 
 def _mixed(n: int) -> np.ndarray:
@@ -82,3 +82,34 @@ def test_running_sums_compensate():
     # the 1.0 that a plain running sum loses survives the correction
     assert np.cumsum([1e16, 1.0, -1e16])[-1] == 0.0
     assert running_sums([1e16, 1.0, -1e16])[-1] == 1.0
+
+
+_SPARSE = st.one_of(st.sampled_from([0.0, -0.0]),
+                    st.floats(-1e100, 1e100, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 60).flatmap(
+    lambda x: st.tuples(st.just(x),
+                        st.lists(_SPARSE, min_size=x + 1, max_size=x + 1),
+                        st.lists(_SPARSE, min_size=x + 1, max_size=x + 1))))
+@example((0, [1.0], [1.0]))
+@example((1, [0.0, -0.0], [0.0, 5.0]))
+@example((6, [0.0, 1.0, -0.0, 0.0, 0.0, 0.0, -1.0],
+          [0.0, -0.0, 1e16, 1.0, -1e16, 0.0, -0.0]))
+@example((12, [0.0, 1e16, -1.0, 1e16, *[0.0] * 9],
+          [0.0, 1.0, -1e16, 3.0, -1e16, *[1e-300] * 8]))
+def test_dirichlet_matches_the_divisor_loop(case):
+    # sparse f, signed zeros and cancellation: bit for bit the per-n fsum
+    x, f, g = case
+    f, g = np.array(f), np.array(g)
+    got = dirichlet(f, g, x)
+    assert _bits(got.tolist()) == _bits(dirichlet_brute(f, g, x).tolist())
+
+
+def test_dirichlet_of_integer_mobius():
+    # mu * 1 is 1 at n = 1 and 0 after: an int f against a float g
+    mu = np.array([0, 1, -1, -1, 0, -1, 1, -1, 0, 0, 1])
+    got = dirichlet(mu, np.ones(11), 10)
+    assert got.dtype == np.float64
+    assert got.tolist() == [0.0, 1.0, *[0.0] * 9]
