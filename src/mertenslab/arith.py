@@ -375,9 +375,11 @@ def psi_theta_dominance_sweep(table: SieveTable,
     # prime power list is primes first, then k >= 2 powers
     n_primes = table.primes_upto(x_max).size
     pos, psi_cum = _jump_cumulative(ms, logs)
-    ps, theta_cum = _jump_cumulative(ms[:n_primes], logs[:n_primes])
-    xs, counts = piece_ends(pos, 2, x_max)
-    psi = step_values(psi_cum, counts)
+    # the primes ascend already: a stable sort of them is the identity
+    ps, theta_cum = ms[:n_primes], compensated_cumsum(logs[:n_primes])
+    ends, counts = piece_ends(pos, 2, x_max)
+    xs = ends.ravel()
+    psi = np.repeat(step_values(psi_cum, counts), 2)
     theta = step_values(theta_cum, np.searchsorted(ps, xs, side="right"))
     diff = psi - theta
     out = worst_case("psi-theta-dominance", (2, x_max), xs, theta, psi, diff,

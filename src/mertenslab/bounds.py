@@ -11,7 +11,8 @@ never raised.
 pi(n), psi(x), theta(x) and the sum of 1/p are step functions checked
 against monotone curves, so those checks evaluate only where a constant
 piece starts or ends (summation.piece_ends), which covers every
-integer in range. psi there is the compensated prefix sum of the sorted
+integer in range; a one-sided check reads only the end where its margin
+is tightest. psi there is the compensated prefix sum of the sorted
 prime-power terms, within 16 ulps of the exact value at 1e7; theta is
 the same sum over the primes.
 """
@@ -74,10 +75,10 @@ def check_psi_dyadic(table: SieveTable, n_max: int) -> VerificationOutcome:
     if not 1 <= 2 * n_max <= table.limit:
         raise DomainError(f"2*n_max={2 * n_max} outside [2, {table.limit}]")
     pos, psi = _jump_cumulative(*prime_power_terms(table, 2 * n_max))
-    ns, _ = piece_ends(_moves((pos + 1) // 2, pos), 1, n_max)
+    ns = piece_ends(_moves((pos + 1) // 2, pos), 1, n_max)[0][:, 0]
     gain = (step_values(psi, np.searchsorted(pos, 2 * ns, side="right"))
             - step_values(psi, np.searchsorted(pos, ns, side="right")))
-    cap = 2.0 * ns * math.log(2.0)
+    cap = ns * LOG4                 # 2n log 2 bit for bit: log 4 = 2 log 2
     return worst_case("psi-dyadic", (1, n_max), ns, gain, cap, cap - gain,
                       -SLACK)
 
@@ -93,17 +94,18 @@ def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
     if not 0 < c1 < c2:
         raise DomainError(f"need 0 < c1 < c2, got ({c1}, {c2})")
     pos, psi = _jump_cumulative(*prime_power_terms(table, x_max))
-    xs, counts = piece_ends(pos, 2, x_max)
+    ends, counts = piece_ends(pos, 2, x_max)
+    left, right = ends.T
     vals = step_values(psi, counts)
     # the largest check at 1e7: one buffer per line, one for both margins
     del pos, psi, counts
-    line = c1 * xs
+    line = c1 * right
     margin = vals - line
-    lower = worst_case("psi-linear", (2, x_max), xs, line, vals, margin,
+    lower = worst_case("psi-linear", (2, x_max), right, line, vals, margin,
                        -SLACK)
-    np.multiply(xs, c2, out=line)
+    np.multiply(left, c2, out=line)
     np.subtract(line, vals, out=margin)
-    upper = worst_case("psi-linear", (2, x_max), xs, vals, line, margin,
+    upper = worst_case("psi-linear", (2, x_max), left, vals, line, margin,
                        -SLACK)
     return min(lower, upper, key=lambda o: o.worst_witness.margin)
 
@@ -118,7 +120,8 @@ def check_primorial_bound(table: SieveTable,
     table.check_range(k_max, lo=1)
     ps = table.primes_upto(k_max)
     theta = compensated_cumsum(np.log(ps.astype(np.float64)))
-    ks, counts = piece_ends(ps, 1, k_max)
+    ends, counts = piece_ends(ps, 1, k_max)
+    ks = ends[:, 0]
     vals = step_values(theta, counts)
     cap = ks * LOG4
     out = worst_case("primorial-bound", (1, k_max), ks, vals, cap,
@@ -147,7 +150,7 @@ def check_interval_primorial(table: SieveTable,
             f"m_max={m_max} outside [1, {(table.limit - 1) // 2}]")
     ps = table.primes_upto(2 * m_max + 1)
     theta = compensated_cumsum(np.log(ps.astype(np.float64)))
-    ms, _ = piece_ends(_moves((ps - 1) // 2, ps - 1), 1, m_max)
+    ms = piece_ends(_moves((ps - 1) // 2, ps - 1), 1, m_max)[0][:, 0]
     gain = (step_values(theta, np.searchsorted(ps, 2 * ms + 1, side="right"))
             - step_values(theta, np.searchsorted(ps, ms + 1, side="right")))
     cap = ms * LOG4
@@ -185,7 +188,8 @@ def check_pi_upper(table: SieveTable, n_max: int) -> VerificationOutcome:
     piece is tightest at its left end.
     """
     table.check_range(n_max, lo=3)
-    ns, pis = piece_ends(table.primes, 3, n_max)
+    ends, pis = piece_ends(table.primes, 3, n_max)
+    ns = ends[:, 0]
     cap = math.e * ns / np.log(ns.astype(np.float64))
     return worst_case("pi-upper", (3, n_max), ns, pis, cap, cap - pis)
 
@@ -216,7 +220,8 @@ def check_reciprocal_lower(table: SieveTable,
     ps = table.primes_upto(n_max)
     cum = compensated_cumsum(1.0 / ps.astype(np.float64))
     shift = math.log(math.pi * math.pi / 6.0)
-    ns, counts = piece_ends(ps, 2, n_max)
+    ends, counts = piece_ends(ps, 2, n_max)
+    ns = ends[:, 1]
     s_vals = step_values(cum, counts)
     floor = np.log(np.log(ns.astype(np.float64) + 1.0)) - shift
     return worst_case("reciprocal-lower", (2, n_max), ns, floor, s_vals,

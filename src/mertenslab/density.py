@@ -7,7 +7,8 @@ the bijection between them is exact, so the suites compare integer
 against integer through outcomes.exact_case. All square-root threshold
 comparisons are done in integer arithmetic (p*p vs n, squared in int64)
 so perfect squares can never be misclassified. The census holds one
-SPF-dtype array of largest factors up to x (40 MB at 1e7).
+SPF-dtype array of largest factors up to x (40 MB at 1e7), and one such
+array gives it at every x a sweep asks for.
 """
 
 import dataclasses
@@ -22,22 +23,40 @@ from .sieve import LPF_CHUNK, SieveTable, largest_factor_range
 from .summation import fsum, piece_ends, step_values
 
 
-def _large_flags(lpf: np.ndarray, lo: int) -> np.ndarray:
-    """P(n)^2 > n for n = lo, lo + 1, ..., given their largest prime
-    factors; squared in int64, since a uint32 square wraps once
-    P(n) > 65535."""
-    p = lpf.astype(np.int64)
-    return p * p > np.arange(lo, lo + p.size, dtype=np.int64)
+def census_counts(table: SieveTable, xs) -> np.ndarray:
+    """Exact count of n in [2, x] with a large prime factor, at each x of
+    ``xs`` (any order, each in [2, limit]), as int64.
+
+    One largest_factor_range up to the largest x; its flags P(n)^2 > n
+    are counted in LPF_CHUNK slices with a running total, and a slice
+    that holds some of the xs reads their counts off its prefix sum. The
+    memo is one SPF-dtype array up to the largest x (40 MB at 1e7); the
+    int64 temporaries stay O(LPF_CHUNK).
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    table.check_range(int(xs.min()))
+    table.check_range(int(xs.max()))
+    order = np.argsort(xs, kind="stable")
+    want = xs[order]
+    lpf = largest_factor_range(table, 2, int(want[-1]) + 1)
+    out = np.empty(xs.size, dtype=np.int64)
+    total = 0
+    for start in range(2, lpf.size + 2, LPF_CHUNK):
+        p = lpf[start - 2:start - 2 + LPF_CHUNK].astype(np.int64)
+        # squared in int64: a uint32 square wraps once P(n) > 65535
+        flags = p * p > np.arange(start, start + p.size, dtype=np.int64)
+        i, j = np.searchsorted(want, [start, start + p.size]).tolist()
+        if i < j:
+            out[order[i:j]] = (total + np.cumsum(flags))[want[i:j] - start]
+        total += int(np.count_nonzero(flags))
+    return out
 
 
 def census_oracle(table: SieveTable, x: int) -> int:
     """Exact count of n in [2, x] with a large prime factor, from the
-    largest prime factor of every n read off the SPF table; counted in
-    LPF_CHUNK slices so the int64 temporaries stay O(chunk)."""
-    table.check_range(x)
-    lpf = largest_factor_range(table, 2, x + 1)
-    return sum(int(np.count_nonzero(_large_flags(lpf[i:i + LPF_CHUNK], 2 + i)))
-               for i in range(0, lpf.size, LPF_CHUNK))
+    largest prime factor of every n read off the SPF table: the one-x
+    case of census_counts."""
+    return int(census_counts(table, [x])[0])
 
 
 def g_count(table: SieveTable, x: int) -> int:
@@ -130,19 +149,19 @@ def g_count_all(table: SieveTable, x_max: int) -> np.ndarray:
 def bijection_sweep(table: SieveTable, x_max: int,
                     spots: tuple[int, ...] = ()) -> VerificationOutcome:
     """g_count(x) == census_oracle(x) for every x <= x_max, exactly,
-    plus spot checks at the given larger x values."""
+    plus spot checks at the given larger x values. The census at every
+    x and spot comes from one census_counts call."""
     table.check_range(x_max)
-    g_all = g_count_all(table, x_max)
-    member = np.zeros(x_max + 1, dtype=np.int64)
-    member[2:] = _large_flags(largest_factor_range(table, 2, x_max + 1), 2)
-    census_all = np.cumsum(member)
-    out = exact_case("pair-bijection", (2, x_max), np.arange(2, x_max + 1),
-                     g_all[2:], census_all[2:])
+    xs = np.arange(2, x_max + 1)
+    census = census_counts(
+        table, np.concatenate((xs, np.array(spots, dtype=np.int64))))
+    out = exact_case("pair-bijection", (2, x_max), xs,
+                     g_count_all(table, x_max)[2:], census[:xs.size])
     if not out.passed:
         return out
-    for x in spots:
+    for x, count in zip(spots, census[xs.size:].tolist()):
         spot = exact_case("pair-bijection", (2, max(x_max, x)), [x],
-                          [g_count(table, x)], [census_oracle(table, x)])
+                          [g_count(table, x)], [count])
         if not spot.passed:
             return spot
     return dataclasses.replace(out, range=(2, max((x_max, *spots))))
@@ -205,7 +224,8 @@ def small_part_bound_sweep(table: SieveTable,
     """
     table.check_range(x_max, lo=10)
     roots = table.primes_upto(math.isqrt(x_max))
-    xs, idx = piece_ends(roots * roots, 10, x_max)
+    ends, idx = piece_ends(roots * roots, 10, x_max)
+    xs = ends[:, 0]
     small = step_values(np.cumsum(roots - 1), idx)
     sqrt_x = np.sqrt(xs.astype(np.float64))
     mid = idx * sqrt_x                      # pi(sqrt x) * sqrt x

@@ -21,8 +21,8 @@ from .arith import prime_power_terms
 from .errors import DomainError
 from .outcomes import VerificationOutcome, worst_case
 from .sieve import SieveTable
-from .summation import (_jump_cumulative, fsum, piece_ends, running_sums,
-                         step_values)
+from .summation import (_jump_cumulative, compensated_cumsum, fsum,
+                         piece_ends, running_sums, step_values)
 
 EULER_GAMMA = 0.57721566490153286060
 MEISSEL_MERTENS_REFERENCE = 0.2614972128
@@ -216,6 +216,7 @@ def lambda_sum_bound_sweep(table: SieveTable, x_max: int,
     table.check_range(x_max, lo=10)
     ms, logs = prime_power_terms(table, x_max)
     pos, cum = _jump_cumulative(ms, logs / ms.astype(np.float64))
+    del ms, logs
     return _step_vs_log_sweep("lambda-sum-bound", pos, cum, 10, x_max,
                               ceiling)
 
@@ -226,8 +227,9 @@ def mertens_bound_sweep(table: SieveTable, n_max: int,
     table.check_range(n_max)
     ps = table.primes_upto(n_max)
     pf = ps.astype(np.float64)
-    pos, cum = _jump_cumulative(ps, np.log(pf) / pf)
-    return _step_vs_log_sweep("mertens1-bound", pos, cum, 2, n_max, ceiling)
+    cum = compensated_cumsum(np.log(pf) / pf)   # the primes ascend already
+    del pf
+    return _step_vs_log_sweep("mertens1-bound", ps, cum, 2, n_max, ceiling)
 
 
 def _step_vs_log_sweep(name: str, pos: np.ndarray, cum: np.ndarray,
@@ -235,13 +237,16 @@ def _step_vs_log_sweep(name: str, pos: np.ndarray, cum: np.ndarray,
                        ceiling: float) -> VerificationOutcome:
     """Largest |step - log n| on [lo, hi]. The step is constant on each
     piece and log n increases, so the deviation peaks at a piece end."""
-    ns, counts = piece_ends(pos, lo, hi)
-    # in place: lambda-sum-bound + mertens1-bound set the --threads 2 peak
-    dev = step_values(cum, counts)
+    ends, counts = piece_ends(pos, lo, hi)
+    # the heap the CLI keeps grows to this sweep's peak: drop what is read
+    step = step_values(cum, counts)
     del counts
-    dev -= np.log(ns, dtype=np.float64)
-    np.abs(dev, out=dev)
-    return worst_case(name, (lo, hi), ns, dev, ceiling, ceiling - dev)
+    dev = np.log(ends, dtype=np.float64)
+    np.subtract(step[:, None], dev, out=dev)
+    del step
+    dev = np.abs(dev, out=dev).ravel()      # both ends, in ascending order
+    return worst_case(name, (lo, hi), ends.ravel(), dev, ceiling,
+                      ceiling - dev)
 
 
 def lambda_mertens_gap_sweep(table: SieveTable, x_max: int,

@@ -9,9 +9,10 @@ bit for bit the one a per-n divisor loop would give.
 
 Every prime sum is a step function of its upper limit: _jump_cumulative
 turns jump positions and sizes into its prefix sums, piece_ends lists
-the ends of its constant pieces by interleaving its strictly increasing
-jumps, with no sort, and step_values reads it there. Against a monotone
-curve the gap on a piece is extreme at an end: those cover every integer.
+its constant pieces as (left, right) pairs by interleaving its strictly
+increasing jumps, with no sort, and step_values reads it on each piece.
+Against a monotone curve the gap on a piece is extreme at an end: those
+cover every integer.
 """
 
 import math
@@ -110,25 +111,27 @@ def _jump_cumulative(positions: np.ndarray, terms: np.ndarray):
 
 
 def piece_ends(jumps: np.ndarray, lo: int, hi: int):
-    """Where the constant pieces of a step function on [lo, hi] start and end.
+    """The constant pieces of a step function on [lo, hi], as (left,
+    right) pairs.
 
     The step function jumps at each entry of the sorted integer array
     ``jumps``, which must not repeat in (lo, hi] (DomainError), and is
-    constant from one jump up to the integer before the next. The points
-    lo, q - 1 and q for each jump q in (lo, hi], then hi, ascend as
-    written; a point repeats where a piece is one integer long. Against a
-    monotone curve the gap on a piece is extreme at one of its two ends,
-    so these points cover every integer in [lo, hi]. Returns them and the
-    number of jumps at or below each: a, a, a + 1, a + 1, ..., b, b.
+    constant from one jump up to the integer before the next. The pieces
+    are [lo, q_a - 1], [q_a, q_(a+1) - 1], ..., [q_b, hi] for the jumps
+    q_a < ... < q_b in (lo, hi]; a piece one integer long has left = right.
+    Against a monotone curve the gap on a piece is extreme at one of its
+    two ends, so these cover every integer in [lo, hi]. Returns the pairs,
+    shape (m, 2) and ascending when raveled, and the number of jumps at
+    or below each piece: a, a + 1, ..., b.
     """
     a, b = np.searchsorted(jumps, [lo, hi], side="right").tolist()
     inner = jumps[a:b]
     if lo > hi or np.any(inner[1:] <= inner[:-1]):
         raise DomainError(f"need lo <= hi, jumps rising in ({lo}, {hi}]")
-    ns = np.empty(2 * inner.size + 2, dtype=np.int64)
-    ns[0], ns[-1] = lo, hi
-    ns[1:-1:2], ns[2:-1:2] = inner - 1, inner
-    return ns, np.repeat(np.arange(a, b + 1), 2)
+    ends = np.empty((inner.size + 1, 2), dtype=np.int64)
+    ends[0, 0], ends[-1, 1] = lo, hi
+    ends[:-1, 1], ends[1:, 0] = inner - 1, inner
+    return ends, np.arange(a, b + 1)
 
 
 def step_values(cum: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -250,7 +250,7 @@ def bound_sweep_reference(check: str, hi: int, ceiling: float = 2.0,
         lo, floor = 1, -slack
 
         def margin(n):
-            return 2.0 * n * math.log(2.0) - (psi[2 * n] - psi[n])
+            return log4 * n - (psi[2 * n] - psi[n])
     elif check == "small-part-bound":
         lo, floor = 10, 0.0
         small_primes = [p for p in primes if p * p <= hi]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mertenslab import density as D
+from mertenslab import sieve
 from mertenslab.errors import DomainError
 from mertenslab.outcomes import Witness
 from mertenslab.sieve import largest_prime_factor
@@ -35,6 +36,24 @@ def test_census_oracle_every_x_matches_brute(table_1e4):
     expect = census_brute(3000)
     for x in range(2, 3001):
         assert D.census_oracle(table_1e4, x) == expect[x]
+
+
+@pytest.mark.parametrize("chunk", [D.LPF_CHUNK, 1, 7, 1000])
+def test_census_counts_every_x_in_any_order(table_1e4, monkeypatch, chunk):
+    # one call reads every x, repeats included, across every chunk end
+    monkeypatch.setattr(sieve, "LPF_CHUNK", chunk)
+    monkeypatch.setattr(D, "LPF_CHUNK", chunk)
+    expect = census_brute(3000)
+    xs = np.random.default_rng(5).permutation(np.arange(2, 3001))
+    xs = np.concatenate((xs, [2, 3000, 1000]))
+    assert D.census_counts(table_1e4, xs).tolist() == \
+        [expect[x] for x in xs.tolist()]
+
+
+def test_census_counts_rejects_x_outside_the_table(table_1e4):
+    for xs in ([1, 10], [10, 10 ** 4 + 1]):
+        with pytest.raises(DomainError):
+            D.census_counts(table_1e4, xs)
 
 
 def test_census_oracle_past_uint32_squares(table_1e6):
@@ -189,11 +208,11 @@ def test_split_identity_sweep_reports_first_mismatch(table_1e4, monkeypatch,
 ])
 def test_bijection_sweep_spot_mismatch(table_1e5, monkeypatch, spots, bad,
                                        hi):
-    # a census one too high at the spot x = bad; the range ends at the
-    # larger of x_max = 1000 and that spot
-    real = D.census_oracle
-    monkeypatch.setattr(D, "census_oracle", lambda table, x: real(table, x)
-                        + (x == bad))
+    # a census one too high at x = bad; the range ends at the larger of
+    # x_max = 1000 and that spot
+    real = D.census_counts
+    monkeypatch.setattr(D, "census_counts", lambda table, xs: real(table, xs)
+                        + (np.asarray(xs) == bad))
     out = D.bijection_sweep(table_1e5, 1000, spots)
     g = D.g_count(table_1e5, bad)
     assert not out.passed and out.range == (2, hi)

@@ -34,7 +34,9 @@ CHECKS = [
     ("psi-linear", {"c1": 0.4}, lambda t, hi: B.check_psi_linear(t, hi, 0.4)),
     ("psi-linear", {"c1": 0.1, "c2": 0.9},
      lambda t, hi: B.check_psi_linear(t, hi, 0.1, 0.9)),
+    ("psi-linear", {"c1": 0.9}, lambda t, hi: B.check_psi_linear(t, hi, 0.9)),
     ("psi-dyadic", {}, lambda t, hi: B.check_psi_dyadic(t, hi)),
+    ("psi-dyadic", {"log4": 0.9}, lambda t, hi: B.check_psi_dyadic(t, hi)),
     ("small-part-bound", {}, lambda t, hi: D.small_part_bound_sweep(t, hi)),
     ("primorial-bound", {}, lambda t, hi: B.check_primorial_bound(t, hi)),
     ("primorial-bound", {"log4": 0.9},
@@ -70,25 +72,24 @@ def test_failing_constants_fail(table_1e5):
 
 
 def test_piece_ends_no_jump_inside():
-    ns, counts = S.piece_ends(np.array([2, 3, 5, 7]), 8, 10)
-    assert ns.tolist() == [8, 10] and counts.tolist() == [4, 4]
-    ns, counts = S.piece_ends(np.array([], dtype=np.int64), 1, 5)
-    assert ns.tolist() == [1, 5] and counts.tolist() == [0, 0]
+    ends, counts = S.piece_ends(np.array([2, 3, 5, 7]), 8, 10)
+    assert ends.tolist() == [[8, 10]] and counts.tolist() == [4]
+    ends, counts = S.piece_ends(np.array([], dtype=np.int64), 1, 5)
+    assert ends.tolist() == [[1, 5]] and counts.tolist() == [0]
 
 
 def test_piece_ends_on_jumps():
-    ns, counts = S.piece_ends(np.array([2, 3, 5, 7]), 5, 7)
-    assert ns.tolist() == [5, 6, 7, 7]
-    assert counts.tolist() == [3, 3, 4, 4]
+    ends, counts = S.piece_ends(np.array([2, 3, 5, 7]), 5, 7)
+    assert ends.tolist() == [[5, 6], [7, 7]]
+    assert counts.tolist() == [3, 4]
 
 
 def test_piece_ends_adjacent_jumps():
     # pieces [1, 1], [2, 2], [3, 7], [8, 8], [9, 10]
-    ns, counts = S.piece_ends(np.array([2, 3, 8, 9]), 1, 10)
-    assert sorted(set(ns.tolist())) == [1, 2, 3, 7, 8, 9, 10]
-    assert ns.tolist() == sorted(ns.tolist())
-    assert dict(zip(ns.tolist(), counts.tolist())) == {
-        1: 0, 2: 1, 3: 2, 7: 2, 8: 3, 9: 4, 10: 4}
+    ends, counts = S.piece_ends(np.array([2, 3, 8, 9]), 1, 10)
+    assert ends.tolist() == [[1, 1], [2, 2], [3, 7], [8, 8], [9, 10]]
+    assert ends.ravel().tolist() == sorted(ends.ravel().tolist())
+    assert counts.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_step_values_zero_before_first_jump():
@@ -105,11 +106,12 @@ def test_piece_ends_cover_every_integer(jump_set, lo, width):
     jumps = np.array(sorted(jump_set), dtype=np.int64)
     cum = np.cumsum(1.0 / (jumps + 1.0))
     hi = lo + width
-    ns, counts = S.piece_ends(jumps, lo, hi)
+    ends, counts = S.piece_ends(jumps, lo, hi)
     every = np.arange(lo, hi + 1)
     dense = S.step_values(cum, np.searchsorted(jumps, every, side="right"))
-    assert np.array_equal(counts, np.searchsorted(jumps, ns, side="right"))
-    gap = np.abs(S.step_values(cum, counts) - np.log(ns))
+    assert np.array_equal(np.repeat(counts, 2),
+                          np.searchsorted(jumps, ends.ravel(), side="right"))
+    gap = np.abs(S.step_values(cum, counts)[:, None] - np.log(ends))
     assert gap.max() == np.abs(dense - np.log(every)).max()
 
 
@@ -120,12 +122,14 @@ def test_piece_ends_cover_every_integer(jump_set, lo, width):
 @example({2, 3, 8, 9}, 2, 7)            # adjacent jumps, lo on one
 @example(set(), 1, 0)
 def test_piece_ends_interleave_matches_sort(jump_set, lo, width):
-    # interleaving strictly increasing jumps gives the sorted array
+    # the pairs, raveled, are the sorted points; each count covers both
     jumps = np.array(sorted(jump_set), dtype=np.int64)
-    ns, counts = S.piece_ends(jumps, lo, lo + width)
+    ends, counts = S.piece_ends(jumps, lo, lo + width)
     ref_ns, ref_counts = piece_ends_sorted(jumps, lo, lo + width)
-    assert ns.dtype == ref_ns.dtype and counts.dtype == ref_counts.dtype
-    assert np.array_equal(ns, ref_ns) and np.array_equal(counts, ref_counts)
+    assert ends.shape == (counts.size, 2)
+    assert ends.dtype == ref_ns.dtype and counts.dtype == ref_counts.dtype
+    assert np.array_equal(ends.ravel(), ref_ns)
+    assert np.array_equal(np.repeat(counts, 2), ref_counts)
 
 
 @pytest.mark.parametrize("jumps", [[2, 3, 3, 5], [2, 5, 5], [7, 5, 3],
