@@ -16,8 +16,6 @@ from .arith import (
     mobius,
     prime_count,
     theta_log_primorial,
-    verify_log_sum_identity,
-    verify_selberg_identity,
     von_mangoldt,
 )
 from .density import (
@@ -70,6 +68,5 @@ __all__ = [
     "prime_count", "reciprocal_prime_sum",
     "rough_tail_sum", "split_point", "sum_lambda_over_n",
     "mertens2_residual_report",
-    "theta_log_primorial", "verify_log_sum_identity",
-    "verify_selberg_identity", "von_mangoldt",
+    "theta_log_primorial", "von_mangoldt",
 ]

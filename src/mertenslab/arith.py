@@ -13,8 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 from .outcomes import VerificationOutcome, exact_case, worst_case
-from .sieve import (Factorization, SieveTable, divide_out, factor_exponents,
-                    factorize)
+from .sieve import SieveTable, divide_out, factor_exponents, factorize
 from .summation import (_jump_cumulative, _multiples, compensated_cumsum,
                          dirichlet, fsum, piece_ends, step_values)
 
@@ -113,23 +112,6 @@ def log_factorial_via_lambda(table: SieveTable, n: int) -> float:
     return fsum(logs * floors)
 
 
-def verify_log_sum_identity(table: SieveTable, k: int,
-                            rel_tol: float = 1e-12) -> VerificationOutcome:
-    """Check log k against the sum of Lambda over the divisors of k.
-
-    The divisor sum collapses to sum_p a_p log p over the factorization
-    k = prod p^a_p; failure is reported, never raised.
-    """
-    table.check_range(k, lo=1)
-    rel = 0.0
-    if k > 1:
-        factors = factorize(table, k).factors
-        lhs = fsum(a * math.log(p) for p, a in factors)
-        rel = abs(lhs - math.log(k)) / math.log(k)
-    return worst_case("log-sum-identity", (k, k), [k], [rel], rel_tol,
-                      [rel_tol - rel])
-
-
 def chebyshev_psi(table: SieveTable, x: int) -> float:
     """Cumulative Lambda mass up to x (0 below 2)."""
     table.check_range(x, lo=0)
@@ -149,19 +131,6 @@ def prime_count(table: SieveTable, x: int) -> int:
     return table.primes_upto(x).size
 
 
-def divisors(fact: Factorization) -> list[int]:
-    """All divisors, ascending, by exponent products."""
-    divs = [1]
-    for p, e in fact.factors:
-        pk = 1
-        grown = []
-        for _ in range(e + 1):
-            grown.extend(d * pk for d in divs)
-            pk *= p
-        divs = grown
-    return sorted(divs)
-
-
 def generalized_lambda(table: SieveTable, n: int, k: int) -> float:
     """Divisor sum of mu(d) log^k(n/d); k = 1 reproduces von_mangoldt.
 
@@ -177,21 +146,6 @@ def generalized_lambda(table: SieveTable, n: int, k: int) -> float:
     for p, _ in factorize(table, n).factors:
         divs += [(-mu, d * p) for mu, d in divs]
     return fsum([mu * math.log(n // d) ** k for mu, d in divs])
-
-
-def verify_selberg_identity(table: SieveTable, n: int,
-                            abs_tol: float = 1e-9) -> VerificationOutcome:
-    """Lambda(n)log n + (Lambda*Lambda)(n) against the mu log^2 divisor sum."""
-    table.check_range(n, lo=1)
-    fact = factorize(table, n) if n > 1 else Factorization(1, [])
-    divs = divisors(fact)
-    lam = {d: von_mangoldt(table, d) for d in divs}
-    log_n = math.log(n) if n > 1 else 0.0
-    lhs = lam[n] * log_n + fsum(lam[d] * lam[n // d] for d in divs)
-    rhs = generalized_lambda(table, n, 2) if n > 1 else 0.0
-    diff = abs(lhs - rhs)
-    return worst_case("selberg-identity", (n, n), [n], [diff], abs_tol,
-                      [abs_tol - diff])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +214,9 @@ def divisor_lambda_sums(table: SieveTable, x: int) -> np.ndarray:
     in the order of prime_power_terms: its primes up to sqrt x, then its
     prime above sqrt x if any (no n <= x has two), then its higher powers.
     The primes above sqrt x reach their multiples k p by one scatter per
-    quotient k <= sqrt x, the others by strided adds.
+    quotient k <= sqrt x, the others by strided adds. Laying the terms
+    out by _multiples for one np.bincount gives the same bits, but at
+    x = 1e6 it is about three times slower and holds 3.6 million terms.
     """
     table.check_range(x, lo=0)
     arr = np.zeros(x + 1, dtype=np.float64)
@@ -280,7 +236,8 @@ def divisor_lambda_sums(table: SieveTable, x: int) -> np.ndarray:
 
 def log_sum_identity_sweep(table: SieveTable, k_max: int,
                            rel_tol: float = 1e-12) -> VerificationOutcome:
-    """verify_log_sum_identity across every k <= k_max, vectorized."""
+    """log k against the sum of Lambda over the divisors of k, for every
+    k = 2..k_max, relative to log k."""
     table.check_range(k_max)
     sums = divisor_lambda_sums(table, k_max)
     ks = np.arange(2, k_max + 1, dtype=np.float64)
@@ -303,7 +260,8 @@ def legendre_exact_sweep(table: SieveTable, n_max: int) -> VerificationOutcome:
     """
     table.check_range(n_max)
     ks, ps, es = factor_exponents(table, n_max)
-    at, j = _multiples(table.primes_upto(n_max), n_max)
+    primes = table.primes_upto(n_max)
+    at, j = _multiples(primes, n_max // primes)
     rise = divide_out(j, at)[1] + 1     # the powers of p = at dividing j p
     p, k = np.concatenate((at, ps)), np.concatenate((at * j, ks))
     step = np.concatenate((-rise, es))

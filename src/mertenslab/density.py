@@ -20,7 +20,7 @@ from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness, exact_case, worst_case
 from .partial_sums import LOG2, ResidualReport, ResidualRow, _validate_xs
 from .sieve import LPF_CHUNK, SieveTable, largest_factor_range
-from .summation import fsum, piece_ends, step_values
+from .summation import _multiples, fsum, piece_ends, step_values
 
 
 def census_counts(table: SieveTable, xs) -> np.ndarray:
@@ -126,24 +126,16 @@ def g_count_all(table: SieveTable, x_max: int) -> np.ndarray:
     """G(x) for every x = 0..x_max in one pass.
 
     min(p-1, floor(x/p)) counts the multiples kp <= x with k <= p-1, so
-    each prime contributes +1 steps at p, 2p, ..., (p-1)p; a difference
-    array turns that into G for all x at once. Pure algebra on the pair
-    count, independent of any factorization. The primes with
-    p(p-1) <= x_max take strided adds. Every other prime exceeds
-    sqrt x_max and counts all its multiples kp <= x_max, as then
-    k < p - 1; they reach them by one scatter per quotient k.
+    each prime contributes +1 steps at p, 2p, ..., min(p-1, x_max/p) p;
+    counting those multiples at each n and taking prefix sums gives G
+    for all x at once. Pure algebra on the pair count, independent of
+    any factorization. Holds the G(x_max) pairs, about 0.7 x_max, as
+    int64 arrays.
     """
     table.check_range(x_max)
-    diff = np.zeros(x_max + 1, dtype=np.int64)
     ps = table.primes_upto(x_max)
-    small = int(np.searchsorted(ps * (ps - 1), x_max, side="right"))
-    for p in ps[:small].tolist():
-        diff[p:p * (p - 1) + 1:p] += 1
-    big = ps[small:]
-    for k in range(1, math.isqrt(x_max) + 1):
-        n = int(np.searchsorted(big, x_max // k, side="right"))
-        diff[k * big[:n]] += 1
-    return np.cumsum(diff)
+    d, k = _multiples(ps, np.minimum(ps - 1, x_max // ps))
+    return np.cumsum(np.bincount(d * k, minlength=x_max + 1))
 
 
 def bijection_sweep(table: SieveTable, x_max: int,
@@ -195,15 +187,14 @@ def split_interval_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
     and any such prime p has floor(x/p) = p - 1.
 
     p in the interval iff p*p > x and p(p-1) <= x, i.e. x in
-    [p^2 - p, p^2 - 1]: integer arithmetic throughout.
+    [p^2 - p, p^2 - 1]: integer arithmetic throughout. The j-th x of
+    p's span is p(p-1) + j - 1, for j = 1..min(p, x_max - p^2 + p + 1).
     """
     table.check_range(x_max)
-    ps = table.primes_upto(math.isqrt(x_max) + 1).astype(np.int64)
+    ps = table.primes_upto(math.isqrt(x_max) + 1)
     ps = ps[ps * ps - ps <= x_max]
-    spans = [np.arange(p * p - p, min(p * p - 1, x_max) + 1, dtype=np.int64)
-             for p in ps.tolist()]
-    xs = np.concatenate(spans)
-    owner = np.repeat(ps, [span.size for span in spans])
+    owner, j = _multiples(ps, np.minimum(ps, x_max - ps * ps + ps + 1))
+    xs = owner * (owner - 1) + j - 1
     floors = exact_case("split-interval", (2, x_max), xs, xs // owner,
                         owner - 1)
     if not floors.passed:

@@ -56,9 +56,8 @@ class Factorization:
 
 def estimate_table_bytes(limit: int) -> int:
     """Rough upper bound on the memory a table at ``limit`` occupies."""
-    spf_width = 4 if limit < 2**32 else 8
     prime_estimate = int(1.3 * limit / max(math.log(limit), 1.0)) + 16
-    return spf_width * (limit + 1) + 8 * prime_estimate
+    return 4 * (limit + 1) + 8 * prime_estimate
 
 
 def _base_primes(limit: int) -> np.ndarray:
@@ -81,7 +80,8 @@ def build_sieve(limit: int) -> SieveTable:
     strided writes, so a composite's smallest prime factor p, which
     reaches it since p * p <= n, writes its slot last. A table
     whose estimated size exceeds MEMORY_BUDGET raises ResourceError
-    before anything is allocated.
+    before anything is allocated. That holds from limit 714,219,036 on,
+    far below 2^32, so every smallest prime factor fits the uint32 array.
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
@@ -94,8 +94,7 @@ def build_sieve(limit: int) -> SieveTable:
             f"(budget {MEMORY_BUDGET})",
             required_bytes=required, budget_bytes=MEMORY_BUDGET)
 
-    dtype = np.uint32 if limit < 2**32 else np.int64
-    spf = np.zeros(limit + 1, dtype=dtype)
+    spf = np.zeros(limit + 1, dtype=np.uint32)
     base = _base_primes(math.isqrt(limit))
     base_list = [int(p) for p in base]
     prime_chunks: list[np.ndarray] = []
@@ -198,8 +197,8 @@ def largest_factor_range(table: SieveTable, lo: int, hi: int) -> np.ndarray:
     off each integer's own SPF chain, filling P for all of [0, hi) in
     ascending chunks of at most LPF_CHUNK. A chunk [start, stop) ends
     by 2 * start, so every cofactor n // spf(n) <= n / 2 < start is
-    filled before its chunk runs. The result has the SPF dtype (uint32
-    below 2^32) and the memo costs one SPF-sized array up to hi, the
+    filled before its chunk runs. The result has the SPF dtype, uint32,
+    and the memo costs one SPF-sized array up to hi, the
     table's own footprint at hi = limit + 1.
     """
     if not 2 <= lo <= hi <= table.limit + 1:

@@ -36,10 +36,11 @@ def fsum(values) -> float:
     return math.fsum(values)
 
 
-def _multiples(bases: np.ndarray, x: int):
-    """Every multiple n = d j <= x of every d in ``bases`` (all >= 1) as
-    flat arrays (d, j): d in the order of ``bases``, j ascending."""
-    counts = x // bases
+def _multiples(bases: np.ndarray, counts: np.ndarray):
+    """The first ``counts[i]`` multiples n = d j of each d = ``bases[i]``
+    (bases >= 1, counts >= 0) as flat arrays (d, j): d in the order of
+    ``bases``, j = 1..count ascending. ``x // bases`` gives every
+    multiple up to x."""
     d = np.repeat(bases, counts)
     return d, np.arange(d.size) - np.repeat(np.cumsum(counts) - counts,
                                             counts) + 1
@@ -55,7 +56,8 @@ def dirichlet(f: np.ndarray, g: np.ndarray, x: int) -> np.ndarray:
     of term order and of the zero terms left out, so it is bit for bit
     the fsum of a loop over the divisors of n. Holds O(x log x) terms.
     """
-    d, j = _multiples(np.flatnonzero(f[1:x + 1]) + 1, x)
+    bases = np.flatnonzero(f[1:x + 1]) + 1
+    d, j = _multiples(bases, x // bases)
     n = d * j
     terms = (f[d] * g[j])[np.argsort(n, kind="stable")].tolist()
     sizes = np.bincount(n, minlength=x + 1)

@@ -59,6 +59,22 @@ def g_count_all_loop(x_max: int) -> np.ndarray:
     return np.cumsum(diff)
 
 
+def split_interval_loop(x_max: int):
+    """For each x = 2..x_max, the primes p with p(p - 1) <= x < p^2,
+    found by trying every prime <= x_max. Returns int64 arrays: the
+    (x, p) pairs as xs and ps, ordered by p and then by x, the floors
+    x // p, and the number of such primes at each x."""
+    primes = trial_primes(x_max)
+    rows = [[p for p in primes if p * (p - 1) <= x < p * p]
+            for x in range(2, x_max + 1)]
+    found = sorted(((x, p) for x, row in enumerate(rows, 2) for p in row),
+                   key=lambda xp: xp[1])
+    xs, ps, floors = (np.array(col, dtype=np.int64) for col in
+                      zip(*((x, p, x // p) for x, p in found)))
+    return xs, ps, floors, np.array([len(row) for row in rows],
+                                    dtype=np.int64)
+
+
 def divisors_brute(n: int) -> list[int]:
     """The divisors of n >= 1, ascending, from its trial factorization."""
     divs = [1]

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from mertenslab import arith as A
 from mertenslab.errors import DomainError
 from mertenslab.outcomes import Witness
-from mertenslab.sieve import factorize
 
-from oracles import (divisor_lambda_loop, factorial_exponent, k1_diffs_loop,
-                     legendre_misses_loop, mobius_brute, selberg_diffs_loop,
-                     trial_factorize)
+from oracles import (divisor_lambda_loop, divisors_brute, factorial_exponent,
+                     k1_diffs_loop, legendre_misses_loop, mobius_brute,
+                     selberg_diffs_loop, trial_factorize)
 
 
 def test_von_mangoldt_examples(table_1e4):
@@ -99,12 +98,13 @@ def test_log_factorial_routes_agree(table_1e4):
         assert abs(direct - via) / direct <= 1e-12
 
 
-def test_verify_log_sum_identity(table_1e4):
-    for k in (1, 12, 97, 9973, 10 ** 4):
-        assert A.verify_log_sum_identity(table_1e4, k).passed
-    one = A.verify_log_sum_identity(table_1e4, 1)
-    assert one.range == (1, 1)
-    assert one.worst_witness == Witness(input=1, lhs=0.0, rhs=1e-12,
+def test_log_sum_identity_sweep_small_k(table_1e4):
+    for k in (2, 12, 97, 9973, 10 ** 4):
+        assert A.log_sum_identity_sweep(table_1e4, k).passed
+    two = A.log_sum_identity_sweep(table_1e4, 2)
+    assert two.range == (1, 2)
+    # Lambda(1) + Lambda(2) is log 2 exactly
+    assert two.worst_witness == Witness(input=2, lhs=0.0, rhs=1e-12,
                                         margin=1e-12)
 
 
@@ -130,11 +130,6 @@ def test_prime_count(table_1e4):
     assert A.prime_count(table_1e4, 100) == 25
 
 
-def test_divisors(table_1e4):
-    assert A.divisors(factorize(table_1e4, 12)) == [1, 2, 3, 4, 6, 12]
-    assert A.divisors(factorize(table_1e4, 97)) == [1, 97]
-
-
 def test_generalized_lambda(table_1e4):
     assert A.generalized_lambda(table_1e4, 8, 1) == pytest.approx(
         math.log(2), abs=1e-12)
@@ -151,19 +146,20 @@ def test_generalized_lambda_brute_divisor_sum(table_1e4):
         for k in (1, 2, 3):
             expected = math.fsum(
                 mobius_brute(d) * math.log(n // d) ** k
-                for d in A.divisors(factorize(table_1e4, n)))
+                for d in divisors_brute(n))
             assert A.generalized_lambda(table_1e4, n, k) == pytest.approx(
                 expected, abs=1e-10)
 
 
-def test_selberg_examples(table_1e4):
-    assert A.verify_selberg_identity(table_1e4, 1).passed
-    out4 = A.verify_selberg_identity(table_1e4, 4)
-    assert out4.passed
-    # both sides equal 3 log^2 2 at n = 4
+def test_selberg_examples(table_1e4, verdict_args):
+    calls = verdict_args(A, "worst_case")
+    assert A.selberg_sweep(table_1e4, 1).passed
+    assert A.selberg_sweep(table_1e4, 30).passed
+    # both sides are 0 at n = 1 and equal 3 log^2 2 at n = 4
+    assert calls[0][1].tolist() == [0.0]
     assert A.generalized_lambda(table_1e4, 4, 2) == pytest.approx(
         3 * math.log(2) ** 2, abs=1e-12)
-    assert A.verify_selberg_identity(table_1e4, 30).passed
+    assert calls[1][1][[0, 3, 29]].max() <= 1e-12
 
 
 def test_domain_guards(table_1e4):
@@ -228,31 +224,18 @@ def test_mobius_values_match_point_and_brute(table_1e4):
     assert A.mobius_values(table_1e4, 1).tolist() == [0, 1]
 
 
-def _verdict_lhs(monkeypatch, verdict: str) -> list:
-    """Collects the lhs array each call of the verdict rule is handed."""
-    seen = []
-    real = getattr(A, verdict)
-
-    def spy(name, rng, inputs, lhs, *rest):
-        seen.append(np.asarray(lhs))
-        return real(name, rng, inputs, lhs, *rest)
-
-    monkeypatch.setattr(A, verdict, spy)
-    return seen
-
-
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 30, 210, 2310, 10 ** 4])
 def test_identity_sweeps_match_the_divisor_loops_bit_for_bit(
-        table_1e4, monkeypatch, n_max):
-    diffs = _verdict_lhs(monkeypatch, "worst_case")
+        table_1e4, verdict_args, n_max):
+    calls = verdict_args(A, "worst_case")
     assert A.selberg_sweep(table_1e4, n_max).passed
     assert A.generalized_lambda_k1_sweep(table_1e4, n_max).passed
-    assert diffs[0].tobytes() == selberg_diffs_loop(n_max).tobytes()
-    assert diffs[1].tobytes() == k1_diffs_loop(n_max).tobytes()
+    assert calls[0][1].tobytes() == selberg_diffs_loop(n_max).tobytes()
+    assert calls[1][1].tobytes() == k1_diffs_loop(n_max).tobytes()
     if n_max >= 2:
-        misses = _verdict_lhs(monkeypatch, "exact_case")
+        calls = verdict_args(A, "exact_case")
         assert A.legendre_exact_sweep(table_1e4, n_max).passed
-        assert misses[0].tobytes() == legendre_misses_loop(n_max).tobytes()
+        assert calls[0][1].tobytes() == legendre_misses_loop(n_max).tobytes()
 
 
 def _plant_exponents(monkeypatch, planted: dict) -> None:
@@ -270,18 +253,19 @@ def _plant_exponents(monkeypatch, planted: dict) -> None:
     monkeypatch.setattr(A, "factor_exponents", with_planted)
 
 
-def test_legendre_sweep_witness_is_first_miss(table_1e4, monkeypatch):
+def test_legendre_sweep_witness_is_first_miss(table_1e4, monkeypatch,
+                                              verdict_args):
     # a wrong exponent of 2 in 12 misses every n >= 12 by one, an
     # exponent of 3 in 31, which 3 does not divide, every n >= 31 by one
     # more, a wrong exponent of 5 in 50 every n >= 50 by three more;
     # n = 12 is the witness
     _plant_exponents(monkeypatch, {(12, 2): 3, (31, 3): 1, (50, 5): 5})
-    misses = _verdict_lhs(monkeypatch, "exact_case")
+    calls = verdict_args(A, "exact_case")
     out = A.legendre_exact_sweep(table_1e4, 100)
     assert not out.passed and out.range == (2, 100)
     assert out.worst_witness == Witness(input=12, lhs=1.0, rhs=0.0,
                                         margin=-1.0)
-    assert misses[0].tolist() == [0] * 10 + [1] * 19 + [2] * 19 + [5] * 51
+    assert calls[0][1].tolist() == [0] * 10 + [1] * 19 + [2] * 19 + [5] * 51
 
 
 def test_legendre_sweep_sees_an_exponent_where_p_does_not_divide(

@@ -167,6 +167,18 @@ def test_verify_identities_tiny_limits_snapshot(capsys):
     assert "".join(outs).encode() == (
         DATA / "verify_identities_small.txt").read_bytes()
 
+def test_verify_density_tiny_limits_snapshot(capsys):
+    # limits at and beside p^2 - p and p^2 - 1 for p = 2, 3, 5, 7, where
+    # the split-interval spans open and close, byte for byte
+    outs = []
+    for limit in (2, 3, 5, 6, 7, 19, 20, 21, 41, 42, 43, 100, 1000):
+        code, out, err = run_cli(capsys, "verify", "--suite", "density",
+                                 "--limit", str(limit), "--threads", "1")
+        assert (limit, code, err) == (limit, 0, "")
+        outs.append(out)
+    assert "".join(outs).encode() == (
+        DATA / "verify_density_small.txt").read_bytes()
+
 def test_verify_repeated_suite_runs_once(capsys, tmp_path):
     # each suite runs once, in the order it was first named
     paths = [tmp_path / "density.json", tmp_path / "identities.json",

@@ -11,7 +11,8 @@ from mertenslab.errors import DomainError
 from mertenslab.outcomes import Witness
 from mertenslab.sieve import largest_prime_factor
 
-from oracles import census_brute, g_count_all_loop, trial_largest_factor
+from oracles import (census_brute, g_count_all_loop, split_interval_loop,
+                     trial_largest_factor)
 
 
 def test_largest_prime_factor_boundaries(table_1e4):
@@ -82,8 +83,8 @@ def test_g_count_all_matches_point_op(table_1e4):
 @pytest.mark.parametrize("x", [2, 3, 4, 5, 6, 7, 10, 11, 12, 20, 42, 100,
                                1000, 12345, 10 ** 5])
 def test_g_count_all_matches_the_prime_loop(table_1e5, x):
-    # p(p - 1) = 2, 6, 20, 42: at those x the prime 3, 5 or 7 moves from
-    # the per-quotient scatters to the strided adds
+    # p(p - 1) = 2, 6, 20, 42: from those x on the prime 2, 3, 5 or 7
+    # has its full p - 1 multiples, below them its count is floor(x/p)
     got = D.g_count_all(table_1e5, x)
     assert got.dtype == np.int64
     assert np.array_equal(got, g_count_all_loop(x))
@@ -165,6 +166,42 @@ def test_split_interval_floor_identity(table_1e4):
                   53, 59, 61, 67, 71):
             if p * p > x and p * (p - 1) <= x:
                 assert x // p == p - 1
+
+
+@pytest.mark.parametrize("x_max", [2, 3, 5, 6, 7, 19, 20, 21, 41, 42, 43,
+                                   3000])
+def test_split_interval_sweep_matches_the_per_x_loop(table_1e4, verdict_args,
+                                                     x_max):
+    # p^2 - p = 2, 6, 20, 42 open the spans of 2, 3, 5, 7 and
+    # p^2 - 1 = 3, 8, 24, 48 close them: x_max on either side of each
+    floors = verdict_args(D, "exact_case")
+    counts = verdict_args(D, "worst_case")
+    assert D.split_interval_sweep(table_1e4, x_max).passed
+    xs, ps, want_floors, want_counts = split_interval_loop(x_max)
+    (got_xs, got_floors, got_rhs), = floors
+    assert got_xs.tobytes() == xs.tobytes()
+    assert got_floors.tobytes() == want_floors.tobytes()
+    assert got_rhs.tobytes() == (ps - 1).tobytes()
+    (got_inputs, got_counts, got_cap), = counts
+    assert got_inputs.tolist() == list(range(2, x_max + 1))
+    assert got_counts.tobytes() == want_counts.tobytes()
+    assert got_cap == 1
+
+
+def test_split_interval_sweep_witness_is_first_bad_x(table_1e4, monkeypatch):
+    # spans laid one x late run to p^2, where x // p = p: the first such x
+    # is 4, the end of 2's span, then 9, 25, ...
+    real = D._multiples
+
+    def one_late(bases, counts):
+        d, j = real(bases, counts)
+        return d, j + 1
+
+    monkeypatch.setattr(D, "_multiples", one_late)
+    out = D.split_interval_sweep(table_1e4, 3000)
+    assert not out.passed and out.range == (2, 3000)
+    assert out.worst_witness == Witness(input=4, lhs=2.0, rhs=1.0,
+                                        margin=-1.0)
 
 
 def _scalar_split_totals(table, x_max):

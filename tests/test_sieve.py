@@ -201,6 +201,20 @@ def test_resource_error_reports_bytes():
     assert err.value.budget_bytes == sieve.MEMORY_BUDGET
 
 
+def test_resource_error_comes_before_any_uint32_overflow():
+    # the 4-byte estimate passes the budget from 714,219,036 on, so no
+    # table reaches 2^32, and build_sieve(2^32) raises before it touches
+    # numpy at all
+    assert (sieve.estimate_table_bytes(714_219_035) <= sieve.MEMORY_BUDGET
+            < sieve.estimate_table_bytes(714_219_036))
+    with mock.patch.object(sieve, "np") as fake_np:
+        with pytest.raises(ResourceError) as err:
+            build_sieve(2 ** 32)
+    assert fake_np.mock_calls == []
+    assert err.value.required_bytes > sieve.MEMORY_BUDGET
+    assert build_sieve(100).spf.dtype == np.uint32
+
+
 def test_table_is_immutable(table_1e4):
     with pytest.raises(ValueError):
         table_1e4.spf[2] = 7

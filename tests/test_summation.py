@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mertenslab.summation import CUMSUM_BLOCK, dirichlet, fsum, running_sums
+from mertenslab.summation import (CUMSUM_BLOCK, _multiples, dirichlet, fsum,
+                                  running_sums)
 
 from oracles import dirichlet_brute, running_sum_loop
 
@@ -82,6 +83,22 @@ def test_running_sums_compensate():
     # the 1.0 that a plain running sum loses survives the correction
     assert np.cumsum([1e16, 1.0, -1e16])[-1] == 0.0
     assert running_sums([1e16, 1.0, -1e16])[-1] == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 10 ** 6), st.integers(0, 40)),
+                max_size=30))
+@example([])
+@example([(5, 0)])
+@example([(1, 3), (7, 0), (7, 2), (2, 0)])
+def test_multiples_match_the_nested_loop(pairs):
+    # bases in the order given, repeats kept; a count of 0 lays nothing
+    bases = np.array([b for b, _ in pairs], dtype=np.int64)
+    counts = np.array([c for _, c in pairs], dtype=np.int64)
+    d, j = _multiples(bases, counts)
+    assert d.dtype == j.dtype == np.int64
+    assert list(zip(d.tolist(), j.tolist())) == [
+        (b, k) for b, c in pairs for k in range(1, c + 1)]
 
 
 _SPARSE = st.one_of(st.sampled_from([0.0, -0.0]),
