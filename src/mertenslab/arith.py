@@ -12,10 +12,12 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .outcomes import VerificationOutcome, exact_case, worst_case
+from .outcomes import (VerificationOutcome, exact_case, worst_case,
+                       worst_case_blocks)
 from .sieve import SieveTable, divide_out, factor_exponents, factorize
 from .summation import (_jump_cumulative, _multiples, compensated_cumsum,
-                         dirichlet, fsum, piece_ends, step_values)
+                         cumsum_blocks, dirichlet, fsum, piece_ends,
+                         step_values)
 
 PSI_THETA_TOL = 1e-12
 
@@ -195,14 +197,18 @@ def pi_count_table(table: SieveTable, x: int) -> np.ndarray:
     return np.cumsum(arr)
 
 
-def log_factorial_table(n: int) -> np.ndarray:
-    """log(k!) for k = 0..n, one compensated prefix pass."""
+def log_factorial_blocks(n: int):
+    """log(k!) for k = 0..n, one compensated prefix pass, as the (start,
+    block) pairs of summation.cumsum_blocks; term k is log max(k, 1)."""
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    terms = np.zeros(n + 1, dtype=np.float64)
-    if n >= 2:
-        terms[2:] = np.log(np.arange(2, n + 1, dtype=np.float64))
-    return compensated_cumsum(terms)
+    return cumsum_blocks(n + 1, lambda a, b: np.log(
+        np.arange(a, b, dtype=np.float64).clip(1.0)))
+
+
+def log_factorial_table(n: int) -> np.ndarray:
+    """log(k!) for k = 0..n: log_factorial_blocks in one array."""
+    return np.concatenate([b for _, b in log_factorial_blocks(n)])
 
 
 def divisor_lambda_sums(table: SieveTable, x: int) -> np.ndarray:
@@ -279,13 +285,20 @@ def legendre_exact_sweep(table: SieveTable, n_max: int) -> VerificationOutcome:
 
 def logfact_dual_route_sweep(table: SieveTable, n_max: int,
                              rel_tol: float = 1e-11) -> VerificationOutcome:
-    """Direct log(n!) against the prime-power route for every n <= n_max."""
+    """Direct log(n!) against the prime-power route for every n <= n_max;
+    both prefix passes run in step, one block at a time."""
     table.check_range(n_max)
-    direct = log_factorial_table(n_max)
-    via = compensated_cumsum(divisor_lambda_sums(table, n_max))
-    rel = np.abs(direct[2:] - via[2:]) / direct[2:]
-    return worst_case("log-factorial-dual-route", (2, n_max),
-                      np.arange(2, n_max + 1), rel, rel_tol, rel_tol - rel)
+    sums = divisor_lambda_sums(table, n_max)
+    vias = cumsum_blocks(n_max + 1, lambda a, b: sums[a:b])
+
+    def blocks():
+        for (lo, direct), (_, via) in zip(log_factorial_blocks(n_max), vias):
+            k = max(2 - lo, 0)                      # from n = 2 on
+            rel = np.abs(direct[k:] - via[k:]) / direct[k:]
+            yield (np.arange(lo + k, lo + direct.size), rel, rel_tol,
+                   rel_tol - rel)
+    return worst_case_blocks("log-factorial-dual-route", (2, n_max),
+                             blocks())
 
 
 def _log_powers(n_max: int, k: int) -> np.ndarray:

@@ -21,13 +21,15 @@ import math
 
 import numpy as np
 
-from .arith import log_factorial_table, prime_power_terms
+from .arith import (log_factorial_blocks, log_factorial_table,
+                    prime_power_terms)
 from .errors import DomainError
-from .outcomes import VerificationOutcome, Witness, worst_case
+from .outcomes import (VerificationOutcome, Witness, worst_case,
+                       worst_case_blocks)
 from .partial_sums import mertens_bound_sweep
 from .sieve import SieveTable
-from .summation import (_jump_cumulative, compensated_cumsum, piece_ends,
-                        step_values)
+from .summation import (_jump_cumulative, compensated_cumsum, int_blocks,
+                        piece_blocks, piece_ends, step_values)
 
 LOG4 = math.log(4.0)
 SLACK = 1e-9
@@ -41,16 +43,17 @@ def check_binomial_bounds(n_max: int) -> VerificationOutcome:
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     lf = log_factorial_table(2 * n_max)
-    ns = np.arange(1, n_max + 1, dtype=np.int64)
-    logc = lf[2 * ns] - 2.0 * lf[ns]
-    cap = ns * LOG4
-    floor = cap - np.log(2.0 * ns + 1.0)
-    out = min(
-        worst_case("binomial-bounds", (1, n_max), ns, logc, cap, cap - logc,
-                   -SLACK),
-        worst_case("binomial-bounds", (1, n_max), ns, floor, logc,
-                   logc - floor, -SLACK),
-        key=lambda o: o.worst_witness.margin)
+
+    def side(upper):
+        for ns in int_blocks(1, n_max):
+            logc = lf[2 * ns] - 2.0 * lf[ns]
+            cap = ns * LOG4
+            floor = cap - np.log(2.0 * ns + 1.0)
+            yield ((ns, logc, cap, cap - logc) if upper
+                   else (ns, floor, logc, logc - floor))
+    out = min((worst_case_blocks("binomial-bounds", (1, n_max), side(upper),
+                                 -SLACK) for upper in (True, False)),
+              key=lambda o: o.worst_witness.margin)
     for n in range(1, min(30, n_max) + 1):
         c = math.comb(2 * n, n)
         if not (4 ** n <= c * (2 * n + 1) and c <= 4 ** n):
@@ -60,27 +63,33 @@ def check_binomial_bounds(n_max: int) -> VerificationOutcome:
     return out
 
 
-def _moves(*positions: np.ndarray) -> np.ndarray:
-    """Distinct move points, ascending; a repeat only repeats a piece end."""
-    moves = np.sort(np.concatenate(positions))
-    return moves[np.concatenate(([True], moves[1:] != moves[:-1]))]
+def _dyadic_sweep(name: str, pos: np.ndarray, cum: np.ndarray, n_max: int,
+                  s: int) -> VerificationOutcome:
+    """S(2n + s) - S(n + s) <= n log 4 for n = 1..n_max, S the step
+    function with jumps ``pos`` and prefix sums ``cum``. For each jump q,
+    S(2n + s) moves at n = ceil((q - s)/2) and S(n + s) at n = q - s;
+    between moves the gain is constant and the cap grows."""
+    moves = np.sort(np.concatenate(((pos - s + 1) // 2, pos - s)))
+    moves = moves[np.concatenate(([True], moves[1:] != moves[:-1]))]
+
+    def blocks():
+        for ends, _ in piece_blocks(moves, 1, n_max):
+            ns = ends[:, 0]
+            gain = (step_values(cum, np.searchsorted(pos, 2 * ns + s, "right"))
+                    - step_values(cum, np.searchsorted(pos, ns + s, "right")))
+            cap = ns * LOG4         # 2n log 2 bit for bit: log 4 = 2 log 2
+            yield ns, gain, cap, cap - gain
+    return worst_case_blocks(name, (1, n_max), blocks(), -SLACK)
 
 
 def check_psi_dyadic(table: SieveTable, n_max: int) -> VerificationOutcome:
-    """psi(2n) - psi(n) <= 2n log 2 for n = 1..n_max.
-
-    For each prime power q, psi(2n) moves at n = ceil(q/2) and psi(n) at
-    n = q; between those points the gain is constant and the cap grows.
-    """
+    """psi(2n) - psi(n) <= 2n log 2 for n = 1..n_max: _dyadic_sweep at
+    s = 0 over the prime powers q, so psi(2n) moves at n = ceil(q/2) and
+    psi(n) at n = q."""
     if not 1 <= 2 * n_max <= table.limit:
         raise DomainError(f"2*n_max={2 * n_max} outside [2, {table.limit}]")
     pos, psi = _jump_cumulative(*prime_power_terms(table, 2 * n_max))
-    ns = piece_ends(_moves((pos + 1) // 2, pos), 1, n_max)[0][:, 0]
-    gain = (step_values(psi, np.searchsorted(pos, 2 * ns, side="right"))
-            - step_values(psi, np.searchsorted(pos, ns, side="right")))
-    cap = ns * LOG4                 # 2n log 2 bit for bit: log 4 = 2 log 2
-    return worst_case("psi-dyadic", (1, n_max), ns, gain, cap, cap - gain,
-                      -SLACK)
+    return _dyadic_sweep("psi-dyadic", pos, psi, n_max, 0)
 
 
 def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
@@ -94,20 +103,16 @@ def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
     if not 0 < c1 < c2:
         raise DomainError(f"need 0 < c1 < c2, got ({c1}, {c2})")
     pos, psi = _jump_cumulative(*prime_power_terms(table, x_max))
-    ends, counts = piece_ends(pos, 2, x_max)
-    left, right = ends.T
-    vals = step_values(psi, counts)
-    # the largest check at 1e7: one buffer per line, one for both margins
-    del pos, psi, counts
-    line = c1 * right
-    margin = vals - line
-    lower = worst_case("psi-linear", (2, x_max), right, line, vals, margin,
-                       -SLACK)
-    np.multiply(left, c2, out=line)
-    np.subtract(line, vals, out=margin)
-    upper = worst_case("psi-linear", (2, x_max), left, vals, line, margin,
-                       -SLACK)
-    return min(lower, upper, key=lambda o: o.worst_witness.margin)
+
+    def side(upper):
+        for ends, counts in piece_blocks(pos, 2, x_max):
+            x = ends[:, 0] if upper else ends[:, 1]
+            vals, line = step_values(psi, counts), (c2 if upper else c1) * x
+            yield ((x, vals, line, line - vals) if upper
+                   else (x, line, vals, vals - line))
+    return min((worst_case_blocks("psi-linear", (2, x_max), side(upper),
+                                  -SLACK) for upper in (False, True)),
+               key=lambda o: o.worst_witness.margin)
 
 
 def check_primorial_bound(table: SieveTable,
@@ -142,20 +147,15 @@ def check_interval_primorial(table: SieveTable,
     """Product of primes in (m+1, 2m+1] is <= 4^m, and for m <= 30 it
     divides C(2m+1, m+1) exactly.
 
-    For each prime p, theta(2m+1) moves at m = (p-1)/2 and theta(m+1) at
-    m = p-1; between those points the gain is constant and the cap grows.
+    The first is _dyadic_sweep at s = 1 over the primes p: theta(2m+1)
+    moves at m = (p-1)/2 and theta(m+1) at m = p-1.
     """
     if not 1 <= m_max <= (table.limit - 1) // 2:
         raise DomainError(
             f"m_max={m_max} outside [1, {(table.limit - 1) // 2}]")
     ps = table.primes_upto(2 * m_max + 1)
     theta = compensated_cumsum(np.log(ps.astype(np.float64)))
-    ms = piece_ends(_moves((ps - 1) // 2, ps - 1), 1, m_max)[0][:, 0]
-    gain = (step_values(theta, np.searchsorted(ps, 2 * ms + 1, side="right"))
-            - step_values(theta, np.searchsorted(ps, ms + 1, side="right")))
-    cap = ms * LOG4
-    out = worst_case("interval-primorial", (1, m_max), ms, gain, cap,
-                     cap - gain, -SLACK)
+    out = _dyadic_sweep("interval-primorial", ps, theta, m_max, 1)
     for m in range(1, min(30, m_max) + 1):
         prod = 1
         for p in range(m + 2, 2 * m + 2):
@@ -173,12 +173,16 @@ def check_stirling_lower(m_max: int) -> VerificationOutcome:
     """log(m!) > m(log m - 1), strictly, for m = 1..m_max."""
     if m_max < 1:
         raise DomainError(f"m_max must be >= 1, got {m_max}")
-    lf = log_factorial_table(m_max)
-    ms = np.arange(1, m_max + 1, dtype=np.int64)
-    mf = ms.astype(np.float64)
-    rhs = mf * (np.log(mf) - 1.0)
-    return worst_case("stirling-lower", (1, m_max), ms, rhs, lf[ms],
-                      lf[ms] - rhs, strict=True)
+
+    def blocks():
+        for lo, lf in log_factorial_blocks(m_max):
+            ms = np.arange(max(lo, 1), lo + lf.size, dtype=np.int64)
+            lf = lf[ms[0] - lo:]
+            mf = ms.astype(np.float64)
+            rhs = mf * (np.log(mf) - 1.0)
+            yield ms, rhs, lf, lf - rhs
+    return worst_case_blocks("stirling-lower", (1, m_max), blocks(),
+                             strict=True)
 
 
 def check_pi_upper(table: SieveTable, n_max: int) -> VerificationOutcome:
@@ -188,10 +192,13 @@ def check_pi_upper(table: SieveTable, n_max: int) -> VerificationOutcome:
     piece is tightest at its left end.
     """
     table.check_range(n_max, lo=3)
-    ends, pis = piece_ends(table.primes, 3, n_max)
-    ns = ends[:, 0]
-    cap = math.e * ns / np.log(ns.astype(np.float64))
-    return worst_case("pi-upper", (3, n_max), ns, pis, cap, cap - pis)
+
+    def blocks():
+        for ends, pis in piece_blocks(table.primes, 3, n_max):
+            ns = ends[:, 0]
+            cap = math.e * ns / np.log(ns.astype(np.float64))
+            yield ns, pis, cap, cap - pis
+    return worst_case_blocks("pi-upper", (3, n_max), blocks())
 
 
 def check_dusart(table: SieveTable, n_max: int) -> VerificationOutcome:
@@ -201,12 +208,14 @@ def check_dusart(table: SieveTable, n_max: int) -> VerificationOutcome:
             f"table holds {table.primes.size} primes, need {n_max}")
     if n_max < 6:
         raise DomainError(f"n_max must be >= 6, got {n_max}")
-    ns = np.arange(6, n_max + 1, dtype=np.int64)
-    pn = table.primes[5:n_max].astype(np.float64)
-    nf = ns.astype(np.float64)
-    cap = nf * np.log(nf) + nf * np.log(np.log(nf))
-    return worst_case("dusart", (6, n_max), ns, pn, cap, cap - pn,
-                      strict=True)
+
+    def blocks():
+        for ns in int_blocks(6, n_max):
+            pn = table.primes[ns - 1].astype(np.float64)
+            nf = ns.astype(np.float64)
+            cap = nf * np.log(nf) + nf * np.log(np.log(nf))
+            yield ns, pn, cap, cap - pn
+    return worst_case_blocks("dusart", (6, n_max), blocks(), strict=True)
 
 
 def check_reciprocal_lower(table: SieveTable,

@@ -5,10 +5,10 @@ of every n <= x, read off each n's SPF chain, and the pair count
 G(x) = sum over primes of min(p-1, floor(x/p)). They share no code, and
 the bijection between them is exact, so the suites compare integer
 against integer through outcomes.exact_case. All square-root threshold
-comparisons are done in integer arithmetic (p*p vs n, squared in int64)
-so perfect squares can never be misclassified. The census holds one
-SPF-dtype array of largest factors up to x (40 MB at 1e7), and one such
-array gives it at every x a sweep asks for.
+comparisons are done in integer arithmetic (p*p vs n in int64, or
+P > n // P) so perfect squares can never be misclassified. The census
+walks the largest factors up to x once, keeping them below x/2 (20 MB
+at 1e7), and one walk gives it at every x a sweep asks for.
 """
 
 import dataclasses
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness, exact_case, worst_case
 from .partial_sums import LOG2, ResidualReport, ResidualRow, _validate_xs
-from .sieve import LPF_CHUNK, SieveTable, largest_factor_range
+from .sieve import LPF_CHUNK, SieveTable, largest_factor_walk
 from .summation import _multiples, fsum, piece_ends, step_values
 
 
@@ -27,27 +27,25 @@ def census_counts(table: SieveTable, xs) -> np.ndarray:
     """Exact count of n in [2, x] with a large prime factor, at each x of
     ``xs`` (any order, each in [2, limit]), as int64.
 
-    One largest_factor_range up to the largest x; its flags P(n)^2 > n
-    are counted in LPF_CHUNK slices with a running total, and a slice
-    that holds some of the xs reads their counts off its prefix sum. The
-    memo is one SPF-dtype array up to the largest x (40 MB at 1e7); the
-    int64 temporaries stay O(LPF_CHUNK).
+    One largest_factor_walk up to the largest x; the flags P(n)^2 > n
+    of each chunk are counted with a running total, and a chunk that
+    holds some of the xs reads their counts off its prefix sum. The walk
+    keeps P below half the largest x (20 MB at 1e7); the temporaries
+    stay O(LPF_CHUNK).
     """
     xs = np.asarray(xs, dtype=np.int64)
     table.check_range(int(xs.min()))
     table.check_range(int(xs.max()))
     order = np.argsort(xs, kind="stable")
     want = xs[order]
-    lpf = largest_factor_range(table, 2, int(want[-1]) + 1)
     out = np.empty(xs.size, dtype=np.int64)
     total = 0
-    for start in range(2, lpf.size + 2, LPF_CHUNK):
-        p = lpf[start - 2:start - 2 + LPF_CHUNK].astype(np.int64)
-        # squared in int64: a uint32 square wraps once P(n) > 65535
-        flags = p * p > np.arange(start, start + p.size, dtype=np.int64)
+    for start, p in largest_factor_walk(table, int(want[-1]) + 1):
+        # P(n)^2 > n as P(n) > n // P(n), exact in the SPF dtype
+        flags = p > np.arange(start, start + p.size, dtype=p.dtype) // p
         i, j = np.searchsorted(want, [start, start + p.size]).tolist()
         if i < j:
-            out[order[i:j]] = (total + np.cumsum(flags))[want[i:j] - start]
+            out[order[i:j]] = total + np.cumsum(flags)[want[i:j] - start]
         total += int(np.count_nonzero(flags))
     return out
 

@@ -1,7 +1,8 @@
 """Report container for identity and inequality checks, and the two
-verdict rules every check goes through: worst_case for inequalities and
-tolerances, exact_case for exact equalities."""
+verdict rules every check goes through: worst_case (or worst_case_blocks,
+streamed) for inequalities and tolerances, exact_case for equalities."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +43,25 @@ def worst_case(name: str, rng: tuple[int, int], inputs, lhs, rhs, margins,
     ``lhs`` and ``rhs`` may be scalars, broadcast over the cases. The check
     passes when that margin is >= floor, or > floor when ``strict``.
     """
-    j = int(np.argmin(margins))
-    margin = float(margins[j])
-    witness = Witness(input=int(inputs[j]),
-                      lhs=float(np.broadcast_to(lhs, np.shape(margins))[j]),
-                      rhs=float(np.broadcast_to(rhs, np.shape(margins))[j]),
-                      margin=margin)
-    passed = margin > floor if strict else margin >= floor
-    return VerificationOutcome(name, rng, passed, witness)
+    return worst_case_blocks(name, rng, [(inputs, lhs, rhs, margins)],
+                             floor, strict)
+
+
+def worst_case_blocks(name: str, rng: tuple[int, int], blocks,
+                      floor: float = 0.0,
+                      strict: bool = False) -> VerificationOutcome:
+    """worst_case over a stream of non-empty (inputs, lhs, rhs, margins)
+    blocks as if concatenated: a later block's witness wins only with a
+    smaller margin or the first NaN, as np.argmin picks over the whole."""
+    w = None
+    for inputs, lhs, rhs, margins in blocks:
+        j = int(np.argmin(margins))
+        if w is None or not (math.isnan(w.margin) or margins[j] >= w.margin):
+            lhs, rhs = np.broadcast_arrays(lhs, rhs, margins)[:2]
+            w = Witness(input=int(inputs[j]), lhs=float(lhs[j]),
+                        rhs=float(rhs[j]), margin=float(margins[j]))
+    passed = w.margin > floor if strict else w.margin >= floor
+    return VerificationOutcome(name, rng, passed, w)
 
 
 def exact_case(name: str, rng: tuple[int, int], inputs, lhs,

@@ -7,22 +7,21 @@ estimated by two independent routes that must agree; both verify and
 constants read that agreement from meissel_mertens_agreement.
 
 The exhaustive sweeps hold each sum, a step function, against a
-monotone curve at the piece ends from summation.piece_ends, the
+monotone curve at the piece ends from summation.piece_blocks, the
 primitive the bounds and density sweeps share.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .arith import prime_power_terms
 from .errors import DomainError
-from .outcomes import VerificationOutcome, worst_case
+from .outcomes import VerificationOutcome, worst_case, worst_case_blocks
 from .sieve import SieveTable
 from .summation import (_jump_cumulative, compensated_cumsum, fsum,
-                         piece_ends, running_sums, step_values)
+                         piece_blocks, running_sums, step_values)
 
 EULER_GAMMA = 0.57721566490153286060
 MEISSEL_MERTENS_REFERENCE = 0.2614972128
@@ -87,24 +86,26 @@ def abel_summation(weights, f, f_prime, lower: float, upper: float) -> float:
     integral of A f' is evaluated exactly piecewise (A is constant
     between jumps, so each piece is A * (f(b) - f(a)) via f itself).
     f_prime completes the classical signature; the value never reads it.
-    A comes from summation.running_sums; f is called once per jump.
+    A comes from summation.running_sums; f is called once per jump, at
+    the index as a float, from (index, weight) pairs or an (n, 2) array.
     """
     if not lower < upper:
         raise DomainError(f"need lower < upper, got [{lower}, {upper}]")
-    weights = list(weights)     # read twice: an iterator would run dry
-    idxs = [i for i, _ in weights]
-    if any(b < a for a, b in zip(idxs, idxs[1:])):
+    weights = np.asarray(weights if isinstance(weights, np.ndarray)
+                         else list(weights), dtype=np.float64).reshape(-1, 2)
+    idxs = weights[:, 0]
+    if np.any(idxs[1:] < idxs[:-1]):
         raise DomainError("weights must be sorted by index")
 
-    start, stop = bisect_right(idxs, lower), bisect_right(idxs, upper)
-    run = running_sums([a for _, a in weights[:stop]])
-    inner = np.array(idxs[start:stop])
+    start, stop = np.searchsorted(idxs, [lower, upper], side="right").tolist()
+    run = running_sums(weights[:stop, 1])
+    inner = idxs[start:stop]
     # the last weight of each index, where A(index) is read
     last = start + np.flatnonzero(np.append(inner[1:] != inner[:-1],
                                             inner.size > 0))
     a = run[np.concatenate(([start], last + 1))]    # A(lower), A(each jump)
-    fs = np.array([f(lower), *[f(idxs[j]) for j in last.tolist()],
-                   f(upper)], dtype=np.float64)
+    fs = np.array([f(lower), *map(f, idxs[last].tolist()), f(upper)],
+                  dtype=np.float64)
     pieces = a * np.diff(fs)
     if last.size and not idxs[last[-1]] < upper:
         pieces = pieces[:-1]
@@ -215,8 +216,8 @@ def lambda_sum_bound_sweep(table: SieveTable, x_max: int,
     [10, x_max]."""
     table.check_range(x_max, lo=10)
     ms, logs = prime_power_terms(table, x_max)
-    pos, cum = _jump_cumulative(ms, logs / ms.astype(np.float64))
-    del ms, logs
+    pos, cum = _jump_cumulative(ms, np.divide(logs, ms, out=logs))
+    del ms, logs            # not held while the pieces stream
     return _step_vs_log_sweep("lambda-sum-bound", pos, cum, 10, x_max,
                               ceiling)
 
@@ -228,7 +229,6 @@ def mertens_bound_sweep(table: SieveTable, n_max: int,
     ps = table.primes_upto(n_max)
     pf = ps.astype(np.float64)
     cum = compensated_cumsum(np.log(pf) / pf)   # the primes ascend already
-    del pf
     return _step_vs_log_sweep("mertens1-bound", ps, cum, 2, n_max, ceiling)
 
 
@@ -237,16 +237,13 @@ def _step_vs_log_sweep(name: str, pos: np.ndarray, cum: np.ndarray,
                        ceiling: float) -> VerificationOutcome:
     """Largest |step - log n| on [lo, hi]. The step is constant on each
     piece and log n increases, so the deviation peaks at a piece end."""
-    ends, counts = piece_ends(pos, lo, hi)
-    # the heap the CLI keeps grows to this sweep's peak: drop what is read
-    step = step_values(cum, counts)
-    del counts
-    dev = np.log(ends, dtype=np.float64)
-    np.subtract(step[:, None], dev, out=dev)
-    del step
-    dev = np.abs(dev, out=dev).ravel()      # both ends, in ascending order
-    return worst_case(name, (lo, hi), ends.ravel(), dev, ceiling,
-                      ceiling - dev)
+    def blocks():
+        for ends, counts in piece_blocks(pos, lo, hi):
+            dev = np.log(ends, dtype=np.float64)
+            np.subtract(step_values(cum, counts)[:, None], dev, out=dev)
+            dev = np.abs(dev, out=dev).ravel()  # both ends, ascending
+            yield ends.ravel(), dev, ceiling, ceiling - dev
+    return worst_case_blocks(name, (lo, hi), blocks())
 
 
 def lambda_mertens_gap_sweep(table: SieveTable, x_max: int,

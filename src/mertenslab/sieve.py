@@ -7,8 +7,8 @@ build_sieve(limit) is the one way to a table. Construction is segmented
 so cache behaviour stays flat at large limits, and each segment takes
 plain strided stores of the base primes, largest first, so no slot is
 read back; the finished table is immutable. Largest prime factors over
-a range come from one memoized pass over the SPF chains
-(largest_factor_range), and the factorizations of a whole range from
+a range come from one memoized walk over the SPF chains
+(largest_factor_walk), and the factorizations of a whole range from
 one vectorized walk down them (factor_exponents).
 """
 
@@ -190,27 +190,38 @@ def largest_prime_factor(table: SieveTable, n: int) -> int:
     return p
 
 
-def largest_factor_range(table: SieveTable, lo: int, hi: int) -> np.ndarray:
-    """Largest prime factor P(n) of every n in [lo, hi), vectorized.
+def largest_factor_walk(table: SieveTable, hi: int):
+    """Largest prime factor P(n) of every n in [2, hi), in the SPF dtype,
+    as (start, P) pairs for ascending chunks of at most LPF_CHUNK.
 
     Reads the recurrence P(n) = max(spf(n), P(n // spf(n))), P(1) = 0,
-    off each integer's own SPF chain, filling P for all of [0, hi) in
-    ascending chunks of at most LPF_CHUNK. A chunk [start, stop) ends
-    by 2 * start, so every cofactor n // spf(n) <= n / 2 < start is
-    filled before its chunk runs. The result has the SPF dtype, uint32,
-    and the memo costs one SPF-sized array up to hi, the
-    table's own footprint at hi = limit + 1.
+    off each integer's own SPF chain. A chunk [start, stop) ends by
+    2 * start, so every cofactor n // spf(n) <= n / 2 < start is known
+    before its chunk runs. The memo keeps P only up to (hi - 1) // 2,
+    the largest cofactor; a chunk above it is a fresh array.
     """
+    spf = table.spf
+    memo = np.zeros((hi - 1) // 2 + 1, dtype=spf.dtype)
+    start = 2
+    while start < hi:
+        stop = min(start + LPF_CHUNK, 2 * start,
+                   memo.size if start < memo.size else hi)
+        p = spf[start:stop]
+        out = (memo[start:stop] if stop <= memo.size
+               else np.empty(stop - start, dtype=spf.dtype))
+        # divided in the SPF dtype, gathered with intp (numpy converts a
+        # uint32 index array on every gather), and not held past the yield
+        np.maximum(p, memo[(np.arange(start, stop, dtype=p.dtype) // p)
+                           .astype(np.intp)], out=out)
+        yield start, out
+        start = stop
+
+
+def largest_factor_range(table: SieveTable, lo: int, hi: int) -> np.ndarray:
+    """Largest prime factor P(n) of every n in [lo, hi): the walk's
+    chunks in one array."""
     if not 2 <= lo <= hi <= table.limit + 1:
         raise DomainError(
             f"range [{lo}, {hi}) outside [2, {table.limit + 1})")
-    spf = table.spf
-    out = np.zeros(hi, dtype=spf.dtype)
-    start = 2
-    while start < hi:
-        stop = min(start + LPF_CHUNK, 2 * start, hi)
-        p = spf[start:stop]
-        cofactor = np.arange(start, stop, dtype=spf.dtype) // p
-        np.maximum(p, out[cofactor], out=out[start:stop])
-        start = stop
-    return out[lo:hi]
+    chunks = [p for _, p in largest_factor_walk(table, hi)]
+    return np.concatenate([table.spf[:0], *chunks])[lo - 2:]

@@ -11,6 +11,8 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from . import arith, bounds, density, partial_sums
 from .errors import DomainError
 from .outcomes import VerificationOutcome, worst_case
@@ -116,8 +118,10 @@ def _abel_exactness(table: SieveTable, xs: list[int]) -> VerificationOutcome:
     """Abel reconstruction of S(x) from log p/p weights, per sample x."""
     f = lambda t: 1.0 / math.log(t)
     fp = lambda t: -1.0 / (t * math.log(t) ** 2)
-    weights = [(p, math.log(p) / p)  # not np.log: its last bit may differ
-               for p in table.primes_upto(xs[-1]).tolist()]
+    ps = table.primes_upto(xs[-1])
+    # math.log, not np.log: its last bit may differ
+    logs = np.fromiter(map(math.log, ps.tolist()), np.float64, ps.size)
+    weights = np.column_stack((ps, logs / ps))
     rels = []
     for x in xs:
         got = partial_sums.abel_summation(

@@ -12,7 +12,9 @@ turns jump positions and sizes into its prefix sums, piece_ends lists
 its constant pieces as (left, right) pairs by interleaving its strictly
 increasing jumps, with no sort, and step_values reads it on each piece.
 Against a monotone curve the gap on a piece is extreme at an end: those
-cover every integer.
+cover every integer. The sweeps stream through piece_blocks, BLOCK
+pieces at a time, and cumsum_blocks; piece_ends and compensated_cumsum
+are their concatenation, and any BLOCK >= 1 gives the same bits.
 """
 
 import math
@@ -22,6 +24,7 @@ import numpy as np
 from .errors import DomainError
 
 CUMSUM_BLOCK = 4096
+BLOCK = 1 << 15
 
 
 def fsum(values) -> float:
@@ -50,46 +53,58 @@ def dirichlet(f: np.ndarray, g: np.ndarray, x: int) -> np.ndarray:
     """The Dirichlet convolution h(n) = sum over d | n of f(d) g(n/d), for
     every n = 0..x at once (h(0) = 0.0); f and g are indexed 0..x.
 
-    Each d with f(d) != 0 spreads f(d) g(j) onto its multiples n = d j as
-    flat arrays, the terms are grouped by n with a stable sort, and each
-    n's terms are summed by fsum. Exact rounding makes h(n) independent
-    of term order and of the zero terms left out, so it is bit for bit
-    the fsum of a loop over the divisors of n. Holds O(x log x) terms.
+    In windows of BLOCK values of n, each d with f(d) != 0 lays out
+    f(d) g(j) for its multiples n = d j in the window, the terms are
+    grouped by n with a stable sort, and each n's are summed by fsum.
+    Exact rounding makes h(n) independent of term order and of the zero
+    terms left out: bit for bit a per-n fsum over the divisors of n.
     """
     bases = np.flatnonzero(f[1:x + 1]) + 1
-    d, j = _multiples(bases, x // bases)
-    n = d * j
-    terms = (f[d] * g[j])[np.argsort(n, kind="stable")].tolist()
-    sizes = np.bincount(n, minlength=x + 1)
-    ns = np.flatnonzero(sizes)
-    ends = np.cumsum(sizes[ns]).tolist()
     h = np.zeros(x + 1, dtype=np.float64)
-    h[ns] = [fsum(terms[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
+    for lo in range(1, x + 1, BLOCK):
+        hi = min(lo + BLOCK, x + 1)
+        d = bases[:int(np.searchsorted(bases, hi))]
+        d, j = _multiples(d, (hi - 1) // d - (lo - 1) // d)
+        j += (lo - 1) // d
+        n = d * j - lo
+        terms = (f[d] * g[j])[np.argsort(n, kind="stable")].tolist()
+        sizes = np.bincount(n, minlength=hi - lo)
+        ns = np.flatnonzero(sizes)
+        ends = np.cumsum(sizes[ns]).tolist()
+        h[lo + ns] = [fsum(terms[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
     return h
 
 
-def compensated_cumsum(values) -> np.ndarray:
-    """Prefix sums of ``values`` with blockwise error compensation.
+def cumsum_blocks(n: int, terms):
+    """Prefix sums of the n values ``terms(lo, hi)`` gives (float64), as
+    (start, block) pairs of whole anchor blocks, about BLOCK values each.
 
     Plain np.cumsum over 1e7 terms drifts by enough to matter at the
     1e-11 relative tolerances used downstream; anchoring every block's
     offset with math.fsum keeps each prefix within a few ulps while
-    staying O(n). Output is independent of thread count by construction.
+    staying O(n). Anchor blocks depend on n alone, so the bits depend
+    on neither BLOCK nor thread count.
     """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    n = arr.size
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
     # Cap the block count so the exact offset recomputation stays cheap.
-    block = max(CUMSUM_BLOCK, -(-n // 2048))
-    out = np.empty(n, dtype=np.float64)
+    step = max(CUMSUM_BLOCK, -(-n // 2048))
+    span = max(step, BLOCK // step * step)
     partials: list[float] = []
-    for start in range(0, n, block):
-        chunk = arr[start:start + block]
-        offset = math.fsum(partials)
-        np.cumsum(chunk, out=out[start:start + chunk.size])
-        out[start:start + chunk.size] += offset
-        partials.append(fsum(chunk))
+    for lo in range(0, n, span):
+        vals = terms(lo, min(lo + span, n))
+        out = np.empty(vals.size)
+        for a in range(0, vals.size, step):
+            np.cumsum(vals[a:a + step], out=out[a:a + step])
+            out[a:a + step] += math.fsum(partials)
+            partials.append(fsum(vals[a:a + step]))
+        yield lo, out
+
+
+def compensated_cumsum(values) -> np.ndarray:
+    """Prefix sums of ``values``: cumsum_blocks in one array."""
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    out = np.empty_like(arr)
+    for lo, block in cumsum_blocks(arr.size, lambda a, b: arr[a:b]):
+        out[lo:lo + block.size] = block
     return out
 
 
@@ -107,14 +122,20 @@ def running_sums(values) -> np.ndarray:
 
 
 def _jump_cumulative(positions: np.ndarray, terms: np.ndarray):
-    """Sort jump positions and return them with compensated prefix sums."""
-    order = np.argsort(positions, kind="stable")
-    return positions[order], compensated_cumsum(terms[order])
+    """Jump positions as a stable sort orders them, with compensated prefix
+    sums of their terms: the rest is sorted and inserted into the leading
+    ascending run (the primes of prime_power_terms)."""
+    drops = np.flatnonzero(positions[1:] < positions[:-1])
+    run = int(drops[0]) + 1 if drops.size else positions.size
+    rest = run + np.argsort(positions[run:], kind="stable")
+    at = np.searchsorted(positions[:run], positions[rest], side="right")
+    return (np.insert(positions[:run], at, positions[rest]),
+            compensated_cumsum(np.insert(terms[:run], at, terms[rest])))
 
 
-def piece_ends(jumps: np.ndarray, lo: int, hi: int):
+def piece_blocks(jumps: np.ndarray, lo: int, hi: int):
     """The constant pieces of a step function on [lo, hi], as (left,
-    right) pairs.
+    right) pairs, BLOCK pieces at a time.
 
     The step function jumps at each entry of the sorted integer array
     ``jumps``, which must not repeat in (lo, hi] (DomainError), and is
@@ -122,21 +143,39 @@ def piece_ends(jumps: np.ndarray, lo: int, hi: int):
     are [lo, q_a - 1], [q_a, q_(a+1) - 1], ..., [q_b, hi] for the jumps
     q_a < ... < q_b in (lo, hi]; a piece one integer long has left = right.
     Against a monotone curve the gap on a piece is extreme at one of its
-    two ends, so these cover every integer in [lo, hi]. Returns the pairs,
-    shape (m, 2) and ascending when raveled, and the number of jumps at
-    or below each piece: a, a + 1, ..., b.
+    two ends, so these cover every integer in [lo, hi]. Yields the pairs,
+    shape (m, 2) and ascending when raveled, with the number of jumps at
+    or below each piece: a, a + 1, ..., b over the whole stream.
     """
     a, b = np.searchsorted(jumps, [lo, hi], side="right").tolist()
     inner = jumps[a:b]
     if lo > hi or np.any(inner[1:] <= inner[:-1]):
         raise DomainError(f"need lo <= hi, jumps rising in ({lo}, {hi}]")
-    ends = np.empty((inner.size + 1, 2), dtype=np.int64)
-    ends[0, 0], ends[-1, 1] = lo, hi
-    ends[:-1, 1], ends[1:, 0] = inner - 1, inner
-    return ends, np.arange(a, b + 1)
+    for i in range(0, inner.size + 1, BLOCK):   # no copy of the jumps
+        j = min(i + BLOCK, inner.size + 1)
+        first, last = i == 0, j > inner.size
+        ends = np.empty((j - i, 2), dtype=np.int64)
+        ends[0, 0], ends[-1, 1] = lo, hi    # overwritten inside the stream
+        ends[first:, 0] = inner[i - 1 + first:j - 1]
+        ends[:j - i - last, 1] = inner[i:j - last] - 1
+        yield ends, np.arange(a + i, a + j)
+
+
+def int_blocks(lo: int, hi: int):
+    """The integers lo..hi ascending, as int64 arrays of at most BLOCK."""
+    for a in range(lo, hi + 1, BLOCK):
+        yield np.arange(a, min(a + BLOCK, hi + 1), dtype=np.int64)
+
+
+def piece_ends(jumps: np.ndarray, lo: int, hi: int):
+    """All of piece_blocks at once: the (m, 2) pairs and the counts."""
+    ends, counts = zip(*piece_blocks(jumps, lo, hi))
+    return np.concatenate(ends), np.concatenate(counts)
 
 
 def step_values(cum: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The step function after ``counts`` jumps: ``cum[count - 1]``, where
     ``cum`` holds its prefix sums, or 0 before the first jump."""
-    return np.concatenate(([0], cum))[counts]
+    if not cum.size:
+        return np.zeros(np.shape(counts), dtype=cum.dtype)
+    return np.where(counts > 0, cum[counts - 1], 0)

@@ -369,3 +369,19 @@ def piece_ends_sorted(jumps: np.ndarray, lo: int, hi: int):
     ns = np.sort(np.concatenate((np.array([lo, hi], dtype=np.int64),
                                  inner, inner - 1)))
     return ns, np.searchsorted(jumps, ns, side="right")
+
+
+def compensated_cumsum_loop(values, min_block: int = 4096) -> np.ndarray:
+    """Prefix sums anchored per block of max(min_block, ceil(n / 2048))
+    values: each block's np.cumsum plus the math.fsum of the exactly
+    rounded sums of the blocks before it, one whole array at a time."""
+    arr = np.asarray(values, dtype=np.float64)
+    block = max(min_block, -(-arr.size // 2048))
+    starts = range(0, arr.size, block)
+    partials = [math.fsum(arr[a:a + block].tolist()) for a in starts]
+    out = np.empty(arr.size)
+    for k, start in enumerate(starts):
+        chunk = arr[start:start + block]
+        out[start:start + chunk.size] = (np.cumsum(chunk)
+                                         + math.fsum(partials[:k]))
+    return out

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mertenslab import cli, partial_sums
+from mertenslab import cli, partial_sums, summation
 from mertenslab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -204,6 +204,18 @@ def test_verify_thread_count_invariant(capsys):
 
 def test_verify_all_snapshot(capsys, tmp_path):
     # reference output of the exhaustive per-integer sweeps
+    out_path = tmp_path / "verify.json"
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all",
+                           "--limit", "100000", "--out", str(out_path))
+    assert code == 0
+    assert out.encode() == (DATA / "verify_all_1e5.txt").read_bytes()
+    assert out_path.read_bytes() == (DATA / "verify_all_1e5.json").read_bytes()
+
+def test_verify_all_snapshot_at_the_smallest_block(capsys, tmp_path,
+                                                  monkeypatch):
+    # one piece, one anchor block, one integer and one n per block: every
+    # stream cut as finely as it goes gives the same bytes
+    monkeypatch.setattr(summation, "BLOCK", 1)
     out_path = tmp_path / "verify.json"
     code, out, _ = run_cli(capsys, "verify", "--suite", "all",
                            "--limit", "100000", "--out", str(out_path))

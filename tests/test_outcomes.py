@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mertenslab import arith, bounds, density, partial_sums
 from mertenslab.errors import DomainError
-from mertenslab.outcomes import Witness, exact_case, worst_case
+from mertenslab.outcomes import (Witness, exact_case, worst_case,
+                                 worst_case_blocks)
 
 
 def test_worst_case_first_smallest_margin():
@@ -39,6 +44,33 @@ def test_worst_case_scalar_sides_broadcast():
     assert not out.passed
     assert out.worst_witness == Witness(input=5, lhs=7.0, rhs=2.5,
                                         margin=-4.5)
+
+
+_MARGINS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-9, -1e-9,
+                                      math.nan, -math.inf]),
+                     st.floats(allow_nan=True))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_MARGINS, min_size=1, max_size=30).flatmap(
+           lambda m: st.tuples(st.just(m), st.sets(st.integers(1, len(m))))),
+       st.sampled_from([0.0, -0.0, -1e-9, 1.0]), st.booleans(), st.booleans())
+@example(([0.0, -0.0, -0.0], {1, 2}), 0.0, False, False)
+@example(([1.0, math.nan, -1.0, math.nan], {1, 2, 3}), 0.0, False, True)
+@example(([2.0, -1.0, 3.0, -1.0, -1.0], {2, 4}), -1.0, True, False)
+def test_worst_case_blocks_match_one_call(case, floor, strict, scalar):
+    # any split into blocks: the first smallest margin, NaN first, of all
+    margins, cuts = case
+    n = len(margins)
+    inputs, m = np.arange(10, 10 + n), np.array(margins)
+    lhs = 7.5 if scalar else np.arange(n) * 0.5
+    rhs = np.arange(n) - 3.0
+    whole = worst_case("c", (1, n), inputs, lhs, rhs, m, floor, strict)
+    edges = [0, *sorted(cuts - {n}), n]
+    blocks = ((inputs[a:b], lhs if scalar else lhs[a:b], rhs[a:b], m[a:b])
+              for a, b in zip(edges, edges[1:]))
+    got = worst_case_blocks("c", (1, n), blocks, floor, strict)
+    assert repr(got) == repr(whole)
 
 
 def test_two_sided_tie_keeps_first_side():

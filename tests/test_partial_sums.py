@@ -51,6 +51,23 @@ def test_abel_single_step_telescopes():
     assert P.abel_summation(iter([(2, 1.0)]), f, fp, 2, 4) == got
 
 
+def test_abel_takes_an_array_of_pairs(table_1e6):
+    # abel-exactness passes an (n, 2) float array: float indices give f
+    # and the weights the bits that int indices give
+    f = lambda t: 1.0 / math.log(t)
+    ps = table_1e6.primes
+    pairs = [(p, math.log(p) / p) for p in ps.tolist()]
+    logs = np.fromiter(map(math.log, ps.tolist()), np.float64, ps.size)
+    weights = np.column_stack((ps, logs / ps))
+    assert weights.tolist() == [[float(p), w] for p, w in pairs]
+    assert all(f(float(p)).hex() == f(p).hex() for p, _ in pairs)
+    for x in (100, 10 ** 4, 10 ** 6):
+        n = table_1e6.primes_upto(x).size
+        got = P.abel_summation(weights[:n], f, None, 2.0, float(x))
+        assert got.hex() == P.abel_summation(pairs[:n], f, None, 2.0,
+                                             float(x)).hex()
+
+
 def test_abel_empty_weights():
     f = lambda t: 1.0 / math.log(t)
     assert P.abel_summation([], f, None, 2, 4) == 0.0

@@ -132,6 +132,27 @@ def test_piece_ends_interleave_matches_sort(jump_set, lo, width):
     assert np.array_equal(np.repeat(counts, 2), ref_counts)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.integers(-3, 40), max_size=25), st.integers(-3, 40),
+       st.integers(0, 40), st.integers(1, 6))
+@example({2, 3, 5, 7}, 1, 9, 1)
+@example({2, 3, 5, 7}, 1, 9, 5)
+def test_piece_blocks_concatenate_to_the_sorted_ends(jump_set, lo, width,
+                                                     block):
+    # blocks of at most BLOCK pieces, together the pairs of piece_ends
+    jumps = np.array(sorted(jump_set), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S, "BLOCK", block)
+        blocks = list(S.piece_blocks(jumps, lo, lo + width))
+    assert all(0 < ends.shape[0] == counts.size <= block
+               for ends, counts in blocks)
+    ends = np.concatenate([ends for ends, _ in blocks])
+    counts = np.concatenate([counts for _, counts in blocks])
+    ref_ns, ref_counts = piece_ends_sorted(jumps, lo, lo + width)
+    assert np.array_equal(ends.ravel(), ref_ns)
+    assert np.array_equal(np.repeat(counts, 2), ref_counts)
+
+
 @pytest.mark.parametrize("jumps", [[2, 3, 3, 5], [2, 5, 5], [7, 5, 3],
                                    [2, 9, 4, 11]])
 def test_piece_ends_rejects_repeated_or_descending_jumps(jumps):

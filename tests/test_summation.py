@@ -6,10 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mertenslab.summation import (CUMSUM_BLOCK, _multiples, dirichlet, fsum,
-                                  running_sums)
+from mertenslab import summation as S
+from mertenslab.arith import (_log_powers, log_factorial_blocks,
+                              log_factorial_table, mobius_values)
+from mertenslab.summation import (CUMSUM_BLOCK, _jump_cumulative, _multiples,
+                                  compensated_cumsum, cumsum_blocks,
+                                  dirichlet, fsum, running_sums)
 
-from oracles import dirichlet_brute, running_sum_loop
+from oracles import (compensated_cumsum_loop, dirichlet_brute,
+                     running_sum_loop)
 
 
 def _mixed(n: int) -> np.ndarray:
@@ -130,3 +135,64 @@ def test_dirichlet_of_integer_mobius():
     got = dirichlet(mu, np.ones(11), 10)
     assert got.dtype == np.float64
     assert got.tolist() == [0.0, 1.0, *[0.0] * 9]
+
+
+def test_dirichlet_memory_is_one_window(table_1e5):
+    # all x log x terms of mu * log^2 at once took 54.5 MB here; in
+    # windows of 2^15 values of n the peak is 28.8 MB
+    x = 10 ** 5
+    mu, log2 = mobius_values(table_1e5, x), _log_powers(x, 2)
+    tracemalloc.start()
+    try:
+        dirichlet(mu, log2, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * 10 ** 6
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+@pytest.mark.parametrize("n", [0, 1, 9, 4096, 4097, 8197])
+def test_cumsum_blocks_are_whole_anchor_blocks(monkeypatch, n, block):
+    # an anchor step of max(4, ceil(n / 2048)): 5 at n = 8197; a block
+    # holds as many whole anchor blocks as fit in BLOCK, at least one
+    monkeypatch.setattr(S, "CUMSUM_BLOCK", 4)
+    monkeypatch.setattr(S, "BLOCK", block)
+    values = _mixed(n)
+    step = max(4, -(-n // 2048))
+    span = max(step, block // step * step)
+    blocks = list(cumsum_blocks(n, lambda a, b: values[a:b]))
+    assert [(lo, b.size) for lo, b in blocks] == [
+        (lo, min(span, n - lo)) for lo in range(0, n, span)]
+    ref = compensated_cumsum_loop(values, 4)
+    for got in (np.concatenate([np.empty(0), *[b for _, b in blocks]]),
+                compensated_cumsum(values)):
+        assert _bits(got.tolist()) == _bits(ref.tolist())
+
+
+@pytest.mark.parametrize("block", [1, 1 << 13])
+def test_log_factorial_blocks_match_one_prefix_pass(monkeypatch, block):
+    # np.log per block gives the bits it gives over the whole range
+    monkeypatch.setattr(S, "BLOCK", block)
+    n = 10 ** 6
+    terms = np.zeros(n + 1)
+    terms[2:] = np.log(np.arange(2, n + 1, dtype=np.float64))
+    ref = compensated_cumsum_loop(terms)
+    got = np.concatenate([b for _, b in log_factorial_blocks(n)])
+    assert got.tobytes() == ref.tobytes()
+    assert log_factorial_table(n).tobytes() == ref.tobytes()
+    assert log_factorial_table(0).tolist() == [0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 60), _SPARSE), max_size=50))
+@example([(4, 1.0), (8, 2.0), (9, 3.0), (2, 4.0), (8, 5.0), (3, 6.0)])
+def test_jump_cumulative_is_the_stable_sort(pairs):
+    # ties and any order: a leading run merged with the sorted rest
+    positions = np.array([q for q, _ in pairs], dtype=np.int64)
+    terms = np.array([t for _, t in pairs], dtype=np.float64)
+    order = np.argsort(positions, kind="stable")
+    pos, cum = _jump_cumulative(positions, terms)
+    assert pos.tolist() == positions[order].tolist()
+    assert _bits(cum.tolist()) == _bits(
+        compensated_cumsum_loop(terms[order]).tolist())
