@@ -20,7 +20,8 @@ from .arith import prime_power_terms
 from .errors import DomainError
 from .outcomes import VerificationOutcome, worst_case, worst_case_blocks
 from .sieve import SieveTable
-from .summation import (_jump_cumulative, compensated_cumsum, fsum,
+from . import summation
+from .summation import (_jump_cumulative, _parts, compensated_cumsum, fsum,
                          piece_blocks, running_sums, step_values)
 
 EULER_GAMMA = 0.57721566490153286060
@@ -76,7 +77,7 @@ def reciprocal_prime_sum(table: SieveTable, x: int) -> float:
     """S(x): sum of 1/p over primes p <= x."""
     table.check_range(x)
     ps = table.primes_upto(x).astype(np.float64)
-    return fsum(1.0 / ps)
+    return fsum(np.divide(1.0, ps, out=ps))
 
 
 def abel_summation(weights, f, f_prime, lower: float, upper: float) -> float:
@@ -167,14 +168,20 @@ def meissel_mertens_from_series(table: SieveTable,
 
     Each term is log1p(-1/p) + 1/p (the cancellation dominates the
     term's value); the dropped tail is below 1/(2p(p-1)) summed past the
-    limit, hence the 1/prime_limit error bound.
+    limit, hence the 1/prime_limit error bound. One fsum rounds gamma and
+    the exact parts of the terms, made summation.BLOCK primes at a time.
     """
     if prime_limit < 10 ** 3:
         raise DomainError(f"prime_limit must be >= 1000, got {prime_limit}")
     table.check_range(prime_limit)
-    ps = table.primes_upto(prime_limit).astype(np.float64)
-    terms = np.log1p(-1.0 / ps) + 1.0 / ps
-    value = fsum(np.concatenate(([EULER_GAMMA], terms)))
+    ps = table.primes_upto(prime_limit)
+
+    def parts():
+        yield EULER_GAMMA
+        for lo in range(0, ps.size, summation.BLOCK):
+            p = ps[lo:lo + summation.BLOCK].astype(np.float64)
+            yield from _parts(np.log1p(-1.0 / p) + 1.0 / p)
+    value = fsum(parts())
     return ConstantEstimate("meissel-mertens", value,
                             route="gamma-plus-prime-series",
                             error_bound=1.0 / prime_limit)

@@ -1,11 +1,11 @@
 """Deterministic compensated accumulation and step functions.
 
-math.fsum is the scalar workhorse: it returns the exactly rounded sum of
-its inputs, which is stronger than Kahan compensation and independent of
-input order, so no result here can depend on thread count or shard
-boundaries. Prefix sums are built blockwise with fsum-anchored offsets,
-and dirichlet sums each n's divisor terms by fsum, so a convolution is
-bit for bit the one a per-n divisor loop would give.
+fsum returns math.fsum's exactly rounded sum, bit for bit, with numpy
+cutting a long array into a few exact parts first: stronger than Kahan
+compensation and independent of input order, so no result here depends
+on thread count or shard boundaries. Prefix sums are built blockwise
+with fsum-anchored offsets, and dirichlet sums each n's divisor terms by
+fsum, so a convolution is bit for bit the one a per-n divisor loop gives.
 
 Every prime sum is a step function of its upper limit: _jump_cumulative
 turns jump positions and sizes into its prefix sums, piece_ends lists
@@ -25,18 +25,56 @@ from .errors import DomainError
 
 CUMSUM_BLOCK = 4096
 BLOCK = 1 << 15
+FSUM_CROSSOVER = 1400  # shorter arrays: math.fsum beats _parts' numpy calls
+FSUM_SLICE = 1 << 15    # at most 2^16 with sigma = 2^(e+16): see _parts
 
 
 def fsum(values) -> float:
-    """Exactly rounded sum of an iterable or 1-d array.
+    """math.fsum of an iterable or a 1-d array, bit for bit, errors too.
 
-    An array is read by math.fsum through a memoryview of its buffer:
-    the same sequence as its ``.tolist()``, taken in place, so even a
-    strided view costs O(1) memory and no Python list is built.
+    math.fsum rounds the few exact _parts of a float64 array of
+    FSUM_CROSSOVER terms or more. It reads any other array, and one with
+    a NaN, an infinity, a term near overflow (where its errors depend on
+    term order) or a zero total (whose sign varies with the Python
+    version), whole and in place through a memoryview.
     """
     if isinstance(values, np.ndarray):
+        if (values.dtype == np.float64 and values.ndim == 1
+                and values.size >= FSUM_CROSSOVER):
+            total = math.fsum(_parts(values))
+            if total != 0.0 and math.isfinite(total):
+                return total
         return math.fsum(memoryview(values))
     return math.fsum(values)
+
+
+def _parts(values: np.ndarray):
+    """Float64 parts with the exact sum of the 1-d float64 ``values``, by
+    error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+    31(1), 2008); a NaN last where a term is not finite or has |x| at or
+    above 2^1023 / max(n, 2^16), so that no sum can overflow.
+
+    In slices of FSUM_SLICE terms with |x| < 2^e and sigma = 2^(e+16),
+    q = (x + sigma) - sigma and r = x - q are exact, and q is a multiple
+    of 2^(e-37) with |q| <= 2^e: 2^16 of them sum exactly in any order,
+    np.sum's included. The remainders r, below 2^(e-37), go round again
+    until all are zero; once sigma is subnormal, q = x and r = 0.
+    """
+    n = values.size
+    bufs = np.empty((2, min(n, FSUM_SLICE)))
+    for lo in range(0, n, FSUM_SLICE):
+        x = values[lo:lo + FSUM_SLICE]
+        q, spare = bufs[:, :x.size]
+        while top := float(max(np.maximum.reduce(x),
+                               -np.minimum.reduce(x))):
+            if not top * max(n, 1 << 16) < 2.0 ** 1023:
+                yield math.nan
+                return
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + 16)
+            np.subtract(np.add(x, sigma, out=q), sigma, out=q)
+            yield float(np.add.reduce(q))
+            x = np.subtract(x, q, out=q)
+            q, spare = spare, q
 
 
 def _multiples(bases: np.ndarray, counts: np.ndarray):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mertenslab import partial_sums as P
+from mertenslab import summation
 from mertenslab.errors import DomainError
 from mertenslab.outcomes import Witness
 
@@ -163,6 +164,19 @@ def test_meissel_mertens_from_series(table_1e6):
     assert math.log1p(-0.5) + 0.5 == pytest.approx(-0.1931471805599453)
     with pytest.raises(DomainError):
         P.meissel_mertens_from_series(table_1e6, 100)
+
+
+@pytest.mark.parametrize("block", [1 << 15, 4096, 777])
+@pytest.mark.parametrize("limit", [1000, 1009, 10 ** 6])
+def test_series_streams_to_the_whole_array_sum(table_1e6, monkeypatch,
+                                                limit, block):
+    # gamma and every term rounded once, whatever the block of primes
+    monkeypatch.setattr(summation, "BLOCK", block)
+    ps = table_1e6.primes_upto(limit).astype(np.float64)
+    terms = np.log1p(-1.0 / ps) + 1.0 / ps
+    want = math.fsum([P.EULER_GAMMA, *terms.tolist()])
+    got = P.meissel_mertens_from_series(table_1e6, limit).value
+    assert got.hex() == want.hex()
 
 
 def test_route_agreement(table_1e6):

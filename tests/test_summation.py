@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from mertenslab import summation as S
 from mertenslab.arith import (_log_powers, log_factorial_blocks,
                               log_factorial_table, mobius_values)
-from mertenslab.summation import (CUMSUM_BLOCK, _jump_cumulative, _multiples,
+from mertenslab.summation import (CUMSUM_BLOCK, FSUM_CROSSOVER, FSUM_SLICE,
+                                  _jump_cumulative, _multiples,
                                   compensated_cumsum, cumsum_blocks,
                                   dirichlet, fsum, running_sums)
 
@@ -23,13 +24,112 @@ def _mixed(n: int) -> np.ndarray:
     return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
 
 
-@pytest.mark.parametrize("n", [0, 1, CUMSUM_BLOCK - 1, CUMSUM_BLOCK,
-                               CUMSUM_BLOCK + 1, 3 * CUMSUM_BLOCK + 7,
-                               664579])
+def _outcome(sum_, values):
+    """The sum's bits (its sign included) or the type of what it raised."""
+    try:
+        return sum_(values).hex()
+    except (OverflowError, ValueError) as err:
+        return type(err)
+
+
+# both sides of the crossover and of one extraction slice, and slices
+# that do not divide the length
+LENGTHS = [0, 1, FSUM_CROSSOVER - 1, FSUM_CROSSOVER, FSUM_CROSSOVER + 1,
+           FSUM_SLICE - 1, FSUM_SLICE + 1, 3 * FSUM_SLICE + 7]
+
+
+@pytest.mark.parametrize("n", sorted({*LENGTHS, CUMSUM_BLOCK - 1,
+                                      CUMSUM_BLOCK, CUMSUM_BLOCK + 1,
+                                      3 * CUMSUM_BLOCK + 7, 664579}))
 def test_fsum_matches_whole_list(n):
-    # the array path feeds math.fsum the same sequence
+    # short arrays go to math.fsum and long ones through exact parts:
+    # either way math.fsum's bits, over terms spanning 2000 binades or
+    # the 20 of 1/n
     for values in (_mixed(n), 1.0 / np.arange(1, n + 1, dtype=np.float64)):
         assert fsum(values).hex() == math.fsum(values.tolist()).hex()
+
+
+def _spread(seed: int, n: int, low: int, bits: int) -> np.ndarray:
+    """n terms of both signs whose exponents span ``bits`` binades from
+    2^low, clipped to the float64 range (subnormals included)."""
+    rng = np.random.default_rng(seed)
+    exps = np.minimum(low + rng.integers(0, bits + 1, n), 1023)
+    return np.ldexp(rng.uniform(0.5, 1.0, n), exps) * rng.choice([-1, 1], n)
+
+
+def _shaped(values: np.ndarray, seed: int, shape: str) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if shape == "cancel":       # x and -x, shuffled: an exact zero
+        return rng.permutation(np.concatenate([values, -values]))
+    if shape == "residue":      # ... plus a 1e-300 left over
+        return rng.permutation(np.concatenate([values, -values, [1e-300]]))
+    if shape == "special" and values.size:
+        out = values.copy()
+        spots = rng.integers(0, values.size, rng.integers(1, 3))
+        out[spots] = rng.choice([np.inf, -np.inf, np.nan], spots.size)
+        return out
+    if shape == "runs":         # long runs of one sign, then a residue
+        return np.concatenate([-np.abs(values), np.abs(values), [1e-300]])
+    if shape == "zeros":        # +-0.0 only
+        return np.where(rng.random(values.size) < 0.5, 0.0, -0.0)
+    if shape == "reversed":
+        return values[::-1]
+    if shape == "strided":
+        return values[::3]
+    return values
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(LENGTHS),
+       st.integers(-1074, 1023), st.integers(0, 1074),
+       st.sampled_from(["plain", "cancel", "residue", "special",
+                        "runs", "zeros", "reversed", "strided"]))
+@example(0, FSUM_SLICE + 1, -1074, 52, "plain")      # subnormals
+@example(0, 3 * FSUM_SLICE + 7, -1074, 1074, "residue")
+@example(0, FSUM_CROSSOVER, 1000, 23, "cancel")      # near overflow
+@example(1, FSUM_SLICE - 1, -60, 1074, "special")
+@example(2, 3 * FSUM_SLICE + 7, -30, 0, "strided")
+@example(3, 3 * FSUM_SLICE + 7, 5, 0, "runs")
+def test_fsum_is_math_fsum_bit_for_bit(seed, n, low, bits, shape):
+    # exponent spreads up to 1074 binades, cancellation to zero (its sign)
+    # and to a residue, subnormals, +-inf, NaN and views: fsum gives what
+    # math.fsum gives over the list, or raises what it raises
+    values = _shaped(_spread(seed, n, low, bits), seed, shape)
+    assert _outcome(fsum, values) == _outcome(math.fsum, values.tolist())
+
+
+@pytest.mark.parametrize("k", [1, FSUM_CROSSOVER, FSUM_SLICE])
+def test_fsum_keeps_the_order_dependent_overflow(k):
+    # math.fsum raises at 2e308 on the way to 1e308; every term here is
+    # above the extraction's range, so the whole array goes to math.fsum
+    values = np.array([1e308, 1e308, -1e308] * k)
+    with pytest.raises(OverflowError):
+        math.fsum(values.tolist())
+    with pytest.raises(OverflowError):
+        fsum(values)
+    # terms as large whose running sum stays finite sum exactly, and so
+    # do terms inside the range whose count could take a sum past it
+    values = np.array([1e308, -1e308, 1.0] * k)
+    assert fsum(values) == math.fsum(values.tolist()) == k
+    values = np.full(4 * FSUM_SLICE, 2.0 ** 1006.5)
+    assert fsum(values) == math.fsum(values.tolist()) == 2.0 ** 1023.5
+
+
+def test_fsum_hands_math_fsum_a_few_parts(monkeypatch):
+    # a finite float64 array reaches math.fsum as a few exact parts per
+    # 2^15 slice, not term by term
+    values = 1.0 / np.arange(2, 664581, dtype=np.float64)
+    want = math.fsum(values.tolist())
+    real, seen = math.fsum, []
+
+    def spy(xs):
+        xs = list(xs)
+        seen.append(len(xs))
+        return real(xs)
+    monkeypatch.setattr(math, "fsum", spy)
+    assert fsum(values) == want
+    slices = -(-values.size // FSUM_SLICE)
+    assert len(seen) == 1 and slices <= seen[0] <= 3 * slices
 
 
 def test_fsum_memory_is_one_chunk():
@@ -44,10 +144,13 @@ def test_fsum_memory_is_one_chunk():
     assert peak < 2 * 10 ** 6
 
 
-def test_fsum_views_and_integers():
+def test_fsum_views_and_other_dtypes():
+    # int64 and float32 arrays go to math.fsum as they are
     values = _mixed(3 * CUMSUM_BLOCK + 7)
-    ints = np.random.default_rng(1).integers(-2 ** 62, 2 ** 62, 10 ** 4)
-    for view in (values[::3], values[::-1], ints):
+    rng = np.random.default_rng(1)
+    ints = rng.integers(-2 ** 62, 2 ** 62, 10 ** 4)
+    singles = (rng.standard_normal(10 ** 4) * 1e30).astype(np.float32)
+    for view in (values[::3], values[::-1], ints, singles, singles[::-2]):
         assert fsum(view).hex() == math.fsum(view.tolist()).hex()
 
 
