@@ -1,20 +1,20 @@
 """Effective inequalities checked over exhaustive desk-scale ranges.
 
-Every check runs in log space with a 1e-9 slack guard so float error
-can never fabricate a counterexample of a proven theorem; where exact
-integer arithmetic is feasible (small parameters) a zero-tolerance
-big-integer pass runs alongside; a miss there overrides the float
-verdict with its own witness (margin -1.0), built here by hand. Every
-other verdict comes from outcomes.worst_case. Failures are reported,
-never raised.
+Log-space checks pass at margin >= -SLACK (1e-9), so float error can
+never fabricate a counterexample of a proven theorem; pi-upper and
+mertens1-bound pass at margin >= 0, dusart and stirling-lower only at
+margin > 0. Where exact integer arithmetic is feasible (small
+parameters) a zero-tolerance big-integer pass runs alongside; a miss
+there overrides the float verdict with its own witness (margin -1.0),
+built here by hand. Every other verdict comes from
+outcomes.worst_case_blocks. Failures are reported, never raised.
 
-pi(n), psi(x), theta(x) and the sum of 1/p are step functions checked
-against monotone curves, so those checks evaluate only where a constant
-piece starts or ends (summation.piece_ends), which covers every
-integer in range; a one-sided check reads only the end where its margin
-is tightest. psi there is the compensated prefix sum of the sorted
-prime-power terms, within 16 ulps of the exact value at 1e7; theta is
-the same sum over the primes.
+pi(n), psi(x), theta(x) and the sum of 1/p are step functions, held to
+rising curves at the tight end of each constant piece by
+summation.step_law (each check says why its curve rises), or by
+_dyadic_sweep for a difference of two. psi there is the compensated
+prefix sum of the sorted prime-power terms, within 16 ulps of exact at
+1e7; theta is the same sum over the primes.
 """
 
 import math
@@ -24,12 +24,11 @@ import numpy as np
 from .arith import (log_factorial_blocks, log_factorial_table,
                     prime_power_terms)
 from .errors import DomainError
-from .outcomes import (VerificationOutcome, Witness, worst_case,
-                       worst_case_blocks)
+from .outcomes import VerificationOutcome, Witness, worst_case_blocks
 from .partial_sums import mertens_bound_sweep
 from .sieve import SieveTable
 from .summation import (_jump_cumulative, compensated_cumsum, int_blocks,
-                        piece_blocks, piece_ends, step_values)
+                        piece_blocks, step_law, step_values)
 
 LOG4 = math.log(4.0)
 SLACK = 1e-9
@@ -96,41 +95,27 @@ def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
                      c2: float = 1.2) -> VerificationOutcome:
     """c1 x <= psi(x) <= c2 x on [2, x_max]; constants calibrated.
 
-    psi is constant between prime powers while both lines grow, so the
-    lower margin is tightest at a piece's right end, the upper at its left.
-    """
+    Both lines rise (0 < c1 < c2); on a tie the lower side's witness
+    stands, as it is read first."""
     table.check_range(x_max)
     if not 0 < c1 < c2:
         raise DomainError(f"need 0 < c1 < c2, got ({c1}, {c2})")
     pos, psi = _jump_cumulative(*prime_power_terms(table, x_max))
-
-    def side(upper):
-        for ends, counts in piece_blocks(pos, 2, x_max):
-            x = ends[:, 0] if upper else ends[:, 1]
-            vals, line = step_values(psi, counts), (c2 if upper else c1) * x
-            yield ((x, vals, line, line - vals) if upper
-                   else (x, line, vals, vals - line))
-    return min((worst_case_blocks("psi-linear", (2, x_max), side(upper),
-                                  -SLACK) for upper in (False, True)),
+    return min((step_law("psi-linear", pos, psi, 2, x_max,
+                         lambda x: c * x, side, -SLACK)
+                for c, side in ((c1, "lower"), (c2, "upper"))),
                key=lambda o: o.worst_witness.margin)
 
 
 def check_primorial_bound(table: SieveTable,
                           k_max: int) -> VerificationOutcome:
-    """theta(k) <= k log 4 for k = 1..k_max; exact product for k <= 60.
-
-    theta is constant between primes while the cap grows, so each piece
-    is tightest at its left end.
-    """
+    """theta(k) <= k log 4, a rising cap, for k = 1..k_max; exact
+    product for k <= 60."""
     table.check_range(k_max, lo=1)
     ps = table.primes_upto(k_max)
     theta = compensated_cumsum(np.log(ps.astype(np.float64)))
-    ends, counts = piece_ends(ps, 1, k_max)
-    ks = ends[:, 0]
-    vals = step_values(theta, counts)
-    cap = ks * LOG4
-    out = worst_case("primorial-bound", (1, k_max), ks, vals, cap,
-                     cap - vals, -SLACK)
+    out = step_law("primorial-bound", ps, theta, 1, k_max,
+                   lambda k: k * LOG4, "upper", -SLACK)
     primorial = 1
     for k in range(1, min(60, k_max) + 1):
         if int(table.spf[k]) == k and k >= 2:
@@ -188,17 +173,13 @@ def check_stirling_lower(m_max: int) -> VerificationOutcome:
 def check_pi_upper(table: SieveTable, n_max: int) -> VerificationOutcome:
     """pi(n) <= e n / log n for n = 3..n_max.
 
-    The cap grows for n >= 3 and pi is constant between primes, so each
-    piece is tightest at its left end.
+    The cap rises for n >= 3 > e, where its derivative e (log n - 1) /
+    log^2 n is positive; pi is the jump count itself.
     """
     table.check_range(n_max, lo=3)
-
-    def blocks():
-        for ends, pis in piece_blocks(table.primes, 3, n_max):
-            ns = ends[:, 0]
-            cap = math.e * ns / np.log(ns.astype(np.float64))
-            yield ns, pis, cap, cap - pis
-    return worst_case_blocks("pi-upper", (3, n_max), blocks())
+    return step_law("pi-upper", table.primes, None, 3, n_max,
+                    lambda n: math.e * n / np.log(n.astype(np.float64)),
+                    "upper")
 
 
 def check_dusart(table: SieveTable, n_max: int) -> VerificationOutcome:
@@ -220,21 +201,16 @@ def check_dusart(table: SieveTable, n_max: int) -> VerificationOutcome:
 
 def check_reciprocal_lower(table: SieveTable,
                            n_max: int) -> VerificationOutcome:
-    """S(n) >= loglog(n+1) - log(pi^2/6) for n = 2..n_max.
-
-    S is constant between primes and the floor grows, so each piece is
-    tightest at its right end.
-    """
+    """S(n) >= loglog(n+1) - log(pi^2/6), a rising floor, for
+    n = 2..n_max."""
     table.check_range(n_max)
     ps = table.primes_upto(n_max)
     cum = compensated_cumsum(1.0 / ps.astype(np.float64))
     shift = math.log(math.pi * math.pi / 6.0)
-    ends, counts = piece_ends(ps, 2, n_max)
-    ns = ends[:, 1]
-    s_vals = step_values(cum, counts)
-    floor = np.log(np.log(ns.astype(np.float64) + 1.0)) - shift
-    return worst_case("reciprocal-lower", (2, n_max), ns, floor, s_vals,
-                      s_vals - floor, -SLACK)
+    return step_law(
+        "reciprocal-lower", ps, cum, 2, n_max,
+        lambda n: np.log(np.log(n.astype(np.float64) + 1.0)) - shift,
+        "lower", -SLACK)
 
 
 def check_mertens_bound(table: SieveTable, n_max: int,

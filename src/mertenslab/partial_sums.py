@@ -6,9 +6,9 @@ loglog x + M at caller-chosen sample points. The limit constant is
 estimated by two independent routes that must agree; both verify and
 constants read that agreement from meissel_mertens_agreement.
 
-The exhaustive sweeps hold each sum, a step function, against a
-monotone curve at the piece ends from summation.piece_blocks, the
-primitive the bounds and density sweeps share.
+The exhaustive sweeps hold each sum, a step function, within a constant
+of log x at every integer through summation.step_law, the sweep the
+bounds checks share.
 """
 
 import math
@@ -18,11 +18,11 @@ import numpy as np
 
 from .arith import prime_power_terms
 from .errors import DomainError
-from .outcomes import VerificationOutcome, worst_case, worst_case_blocks
+from .outcomes import VerificationOutcome, worst_case
 from .sieve import SieveTable
 from . import summation
 from .summation import (_jump_cumulative, _parts, compensated_cumsum, fsum,
-                         piece_blocks, running_sums, step_values)
+                         running_sums, step_law)
 
 EULER_GAMMA = 0.57721566490153286060
 MEISSEL_MERTENS_REFERENCE = 0.2614972128
@@ -220,37 +220,25 @@ def log_zeta_truncation(table: SieveTable, s: float, n_max: int) -> float:
 def lambda_sum_bound_sweep(table: SieveTable, x_max: int,
                            ceiling: float = 2.0) -> VerificationOutcome:
     """|sum Lambda(m)/m - log x| <= ceiling at every integer x in
-    [10, x_max]."""
+    [10, x_max]: log x rises, so the deviation peaks at a piece end."""
     table.check_range(x_max, lo=10)
     ms, logs = prime_power_terms(table, x_max)
     pos, cum = _jump_cumulative(ms, np.divide(logs, ms, out=logs))
     del ms, logs            # not held while the pieces stream
-    return _step_vs_log_sweep("lambda-sum-bound", pos, cum, 10, x_max,
-                              ceiling)
+    return step_law("lambda-sum-bound", pos, cum, 10, x_max,
+                    lambda x: (np.log(x, dtype=np.float64), ceiling), "abs")
 
 
 def mertens_bound_sweep(table: SieveTable, n_max: int,
                         ceiling: float = 2.0) -> VerificationOutcome:
-    """|sum (log p)/p - log n| <= ceiling at every integer n in [2, n_max]."""
+    """|sum (log p)/p - log n| <= ceiling at every integer n in [2, n_max]:
+    log n rises, so the deviation peaks at a piece end."""
     table.check_range(n_max)
     ps = table.primes_upto(n_max)
     pf = ps.astype(np.float64)
     cum = compensated_cumsum(np.log(pf) / pf)   # the primes ascend already
-    return _step_vs_log_sweep("mertens1-bound", ps, cum, 2, n_max, ceiling)
-
-
-def _step_vs_log_sweep(name: str, pos: np.ndarray, cum: np.ndarray,
-                       lo: int, hi: int,
-                       ceiling: float) -> VerificationOutcome:
-    """Largest |step - log n| on [lo, hi]. The step is constant on each
-    piece and log n increases, so the deviation peaks at a piece end."""
-    def blocks():
-        for ends, counts in piece_blocks(pos, lo, hi):
-            dev = np.log(ends, dtype=np.float64)
-            np.subtract(step_values(cum, counts)[:, None], dev, out=dev)
-            dev = np.abs(dev, out=dev).ravel()  # both ends, ascending
-            yield ends.ravel(), dev, ceiling, ceiling - dev
-    return worst_case_blocks(name, (lo, hi), blocks())
+    return step_law("mertens1-bound", ps, cum, 2, n_max,
+                    lambda n: (np.log(n, dtype=np.float64), ceiling), "abs")
 
 
 def lambda_mertens_gap_sweep(table: SieveTable, x_max: int,

@@ -11,10 +11,11 @@ Every prime sum is a step function of its upper limit: _jump_cumulative
 turns jump positions and sizes into its prefix sums, piece_ends lists
 its constant pieces as (left, right) pairs by interleaving its strictly
 increasing jumps, with no sort, and step_values reads it on each piece.
-Against a monotone curve the gap on a piece is extreme at an end: those
-cover every integer. The sweeps stream through piece_blocks, BLOCK
-pieces at a time, and cumsum_blocks; piece_ends and compensated_cumsum
-are their concatenation, and any BLOCK >= 1 gives the same bits.
+Against a monotone curve the gap on a piece is extreme at an end, which
+step_law reads: those cover every integer. The sweeps stream through
+piece_blocks, BLOCK pieces at a time, and cumsum_blocks; piece_ends and
+compensated_cumsum are their concatenation, and any BLOCK >= 1 gives
+the same bits.
 """
 
 import math
@@ -22,6 +23,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
+from .outcomes import VerificationOutcome, worst_case_blocks
 
 CUMSUM_BLOCK = 4096
 BLOCK = 1 << 15
@@ -217,3 +219,31 @@ def step_values(cum: np.ndarray, counts: np.ndarray) -> np.ndarray:
     if not cum.size:
         return np.zeros(np.shape(counts), dtype=cum.dtype)
     return np.where(counts > 0, cum[counts - 1], 0)
+
+
+def step_law(name: str, pos: np.ndarray, cum, lo: int, hi: int, curve,
+             side: str, floor: float = 0.0) -> VerificationOutcome:
+    """The step function with jumps ``pos`` (as for piece_blocks) and
+    prefix sums ``cum`` (None: the jump count) against ``curve`` at every
+    integer of [lo, hi], decided by worst_case_blocks at ``floor``.
+
+    "upper": step <= curve(x) at each piece's left end, witness (step,
+    curve); "lower": step >= curve(x) at its right end, witness (curve,
+    step); "abs": |step - centre| <= width, a scalar, at both ends in
+    ascending order, with (centre, width) = curve(ends), witness
+    (|step - centre|, width). Unchecked: the curve rises on every piece
+    ("abs": centre is monotone there), so the ends read are the tightest.
+    """
+    def blocks():
+        for ends, counts in piece_blocks(pos, lo, hi):
+            step = counts if cum is None else step_values(cum, counts)
+            if side == "abs":
+                centre, width = curve(ends)
+                dev = np.abs(np.subtract(step[:, None], centre)).ravel()
+                yield ends.ravel(), dev, width, width - dev
+            else:
+                x = ends[:, {"upper": 0, "lower": 1}[side]]
+                c = curve(x)
+                yield ((x, step, c, c - step) if side == "upper"
+                       else (x, c, step, step - c))
+    return worst_case_blocks(name, (lo, hi), blocks(), floor)

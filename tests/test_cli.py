@@ -179,6 +179,19 @@ def test_verify_density_tiny_limits_snapshot(capsys):
     assert "".join(outs).encode() == (
         DATA / "verify_density_small.txt").read_bytes()
 
+@pytest.mark.parametrize("suite", ["bounds", "asymptotics"])
+def test_verify_step_sweeps_tiny_limits_snapshot(capsys, suite):
+    # ranges of one integer, pieces empty or one integer long, and the
+    # first limits past each check's lower end, byte for byte
+    outs = []
+    for limit in (2, 3, 4, 5, 6, 9, 10, 11, 13, 41, 100, 1000):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite,
+                                 "--limit", str(limit), "--threads", "1")
+        assert (limit, code, err) == (limit, 0, "")
+        outs.append(out)
+    assert "".join(outs).encode() == (
+        DATA / f"verify_{suite}_small.txt").read_bytes()
+
 def test_verify_repeated_suite_runs_once(capsys, tmp_path):
     # each suite runs once, in the order it was first named
     paths = [tmp_path / "density.json", tmp_path / "identities.json",

@@ -6,9 +6,9 @@ the 78,498 primes of this table, so the test takes a block well below
 them. A sweep that holds every case at once, as the array forms did,
 goes past the ceiling: the peaks then were
 lambda-sum-bound 5.1 MB, mertens1-bound 4.4, psi-linear 4.4, psi-dyadic
-6.5, pi-upper 3.8, dusart 3.8, stirling-lower 48.0, binomial-bounds 5.6,
-log-factorial-dual-route 40.0, pair-bijection 14.8 and abel-exactness
-18.8. mm-route-agreement, with the series in one array and 1/p beside
+6.5, pi-upper 3.8, primorial-bound 4.4, reciprocal-lower 4.4, dusart
+3.8, stirling-lower 48.0, binomial-bounds 5.6, log-factorial-dual-route
+40.0, pair-bijection 14.8 and abel-exactness 18.8. mm-route-agreement, with the series in one array and 1/p beside
 the primes in the tail, peaked at 1.9 MB.
 """
 
@@ -24,6 +24,8 @@ CEILINGS_MB = {
     "psi-linear": 3.9,
     "psi-dyadic": 4.8,
     "pi-upper": 0.6,
+    "primorial-bound": 1.7,
+    "reciprocal-lower": 1.7,
     "dusart": 0.6,
     "stirling-lower": 0.6,
     "binomial-bounds": 4.2,

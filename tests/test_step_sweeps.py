@@ -18,6 +18,7 @@ from mertenslab import density as D
 from mertenslab import partial_sums as P
 from mertenslab import summation as S
 from mertenslab.errors import DomainError
+from mertenslab.outcomes import Witness
 
 from oracles import bound_sweep_reference, piece_ends_sorted
 
@@ -163,3 +164,49 @@ def test_piece_ends_rejects_repeated_or_descending_jumps(jumps):
 def test_piece_ends_rejects_empty_range():
     with pytest.raises(DomainError):
         S.piece_ends(np.array([2, 3], dtype=np.int64), 5, 4)
+
+
+# step_law: one piece [5, 9] with step 10 (one jump at 5) against a
+# rising curve, where only the end the law reads is broken
+@pytest.mark.parametrize("side,cum,curve,witness", [
+    ("upper", [10.0], lambda x: x + 0.0, Witness(5, 10.0, 5.0, -5.0)),
+    ("lower", [10.0], lambda x: 2.0 * x - 7.0, Witness(9, 11.0, 10.0, -1.0)),
+    ("abs", [10.0], lambda e: (e + 0.0, 3.0), Witness(5, 5.0, 3.0, -2.0)),
+    ("abs", [5.5], lambda e: (e + 0.0, 3.0), Witness(9, 3.5, 3.0, -0.5)),
+])
+def test_step_law_fails_at_the_tight_end_only(side, cum, curve, witness):
+    # a law that read the other end of the piece would pass here
+    pos = np.array([5], dtype=np.int64)
+    out = S.step_law("planted", pos, np.array(cum), 5, 9, curve, side)
+    assert (out.passed, out.range, out.worst_witness) == (False, (5, 9),
+                                                         witness)
+
+
+LAWS = [("upper", lambda x: 0.95 * x + 10.0, -1e-9),
+        ("lower", lambda x: 0.98 * x, 0.0),
+        ("abs", lambda e: (1.0 * e, 20.0), 0.0)]
+
+
+@pytest.mark.parametrize("side,curve,floor", LAWS)
+def test_step_law_is_the_same_at_any_block(table_1e4, monkeypatch, side,
+                                           curve, floor):
+    # theta against curves near x, each broken inside the range
+    ps = table_1e4.primes_upto(2999)
+    theta = S.compensated_cumsum(np.log(ps.astype(np.float64)))
+    whole = S.step_law("theta", ps, theta, 2, 2999, curve, side, floor)
+    for block in (1, 2, 3):
+        monkeypatch.setattr(S, "BLOCK", block)
+        assert S.step_law("theta", ps, theta, 2, 2999, curve, side,
+                          floor) == whole
+
+
+@pytest.mark.parametrize("side,curve", [
+    ("upper", lambda x: x / np.log(x.astype(np.float64))),
+    ("lower", lambda x: 0.9 * x / np.log(x + 1.0)),
+    ("abs", lambda e: (e / np.log(e + 1.0), 4.0))])
+def test_step_law_without_prefix_counts_the_jumps(table_1e4, side, curve):
+    # cum=None reads the jump count: the prefix sums 1, 2, ..., n
+    ps = table_1e4.primes
+    prefix = np.arange(1, ps.size + 1)
+    assert S.step_law("pi", ps, None, 3, 10 ** 4, curve, side) == \
+        S.step_law("pi", ps, prefix, 3, 10 ** 4, curve, side)
