@@ -10,10 +10,6 @@ tolerances where only asymptotics are claimed.
 from .arith import (
     chebyshev_psi,
     generalized_lambda,
-    legendre_valuation,
-    log_factorial_direct,
-    log_factorial_via_lambda,
-    mobius,
     prime_count,
     theta_log_primorial,
     von_mangoldt,
@@ -48,7 +44,6 @@ from .sieve import (
     build_sieve,
     factorize,
     largest_prime_factor,
-    nth_prime,
 )
 
 __version__ = "0.1.0"
@@ -60,12 +55,9 @@ __all__ = [
     "SieveTable", "VerificationOutcome", "Witness", "abel_summation",
     "build_sieve", "census_oracle", "chebyshev_psi", "density_series",
     "factorize", "g_count", "g_count_split", "generalized_lambda",
-    "largest_prime_factor",
-    "legendre_valuation", "log_factorial_direct", "log_factorial_via_lambda",
-    "log_zeta_truncation", "meissel_mertens_from_series",
-    "meissel_mertens_from_tail",
-    "mertens_first_sum", "mobius", "nth_prime",
-    "prime_count", "reciprocal_prime_sum",
+    "largest_prime_factor", "log_zeta_truncation",
+    "meissel_mertens_from_series", "meissel_mertens_from_tail",
+    "mertens_first_sum", "prime_count", "reciprocal_prime_sum",
     "rough_tail_sum", "split_point", "sum_lambda_over_n",
     "mertens2_residual_report",
     "theta_log_primorial", "von_mangoldt",

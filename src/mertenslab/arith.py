@@ -1,9 +1,10 @@
 """The classical arithmetic functions over a sieve table.
 
-Point evaluations of the von Mangoldt and Moebius functions, Legendre
-valuations, both log-factorial routes, the Chebyshev functions, and the
-Selberg / generalized von Mangoldt divisor sums, plus the vectorized
-sweep variants the verification suites run over exhaustive ranges.
+Point evaluations of the von Mangoldt function, the Chebyshev
+functions, pi(x) and the generalized von Mangoldt divisor sums, plus
+the tables and vectorized sweeps the verification suites run over
+exhaustive ranges: Moebius values, log-factorials, Legendre's
+valuations and the Selberg identity.
 """
 
 import dataclasses
@@ -22,18 +23,6 @@ from .summation import (_jump_cumulative, _multiples, compensated_cumsum,
 PSI_THETA_TOL = 1e-12
 
 
-def is_prime(n: int) -> bool:
-    """Trial division; used where no sieve table is in scope."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    for d in range(3, math.isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
-
-
 def von_mangoldt(table: SieveTable, n: int) -> float:
     """log p when n = p^alpha, else 0; detection by repeated SPF division."""
     table.check_range(n, lo=1)
@@ -44,40 +33,6 @@ def von_mangoldt(table: SieveTable, n: int) -> float:
     while m % p == 0:
         m //= p
     return math.log(p) if m == 1 else 0.0
-
-
-def mobius(table: SieveTable, n: int) -> int:
-    """+-1 for squarefree n by parity of the factor count, 0 otherwise."""
-    table.check_range(n, lo=1)
-    if n == 1:
-        return 1
-    factors = factorize(table, n).factors
-    if any(e >= 2 for _, e in factors):
-        return 0
-    return -1 if len(factors) % 2 else 1
-
-
-def legendre_valuation(p: int, n: int) -> int:
-    """Exponent of the prime p in n!: sum of floor(n / p^k)."""
-    if not is_prime(p):
-        raise DomainError(f"p={p} is not prime")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    total = 0
-    pk = p
-    while pk <= n:
-        total += n // pk
-        pk *= p
-    return total
-
-
-def log_factorial_direct(n: int) -> float:
-    """log(n!) summed term by term; empty product at n = 0 gives 0."""
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if n < 2:
-        return 0.0
-    return fsum(np.log(np.arange(2, n + 1, dtype=np.float64)))
 
 
 def prime_power_terms(table: SieveTable, x: int):
@@ -104,14 +59,6 @@ def prime_power_terms(table: SieveTable, x: int):
     ms = np.concatenate([ps, np.asarray(extra_m, dtype=np.int64)])
     logs = np.concatenate([base_logs, np.asarray(extra_l, dtype=np.float64)])
     return ms, logs
-
-
-def log_factorial_via_lambda(table: SieveTable, n: int) -> float:
-    """log(n!) as the prime-power sum of Lambda(m) * floor(n/m)."""
-    table.check_range(n)
-    ms, logs = prime_power_terms(table, n)
-    floors = (n // ms).astype(np.float64)
-    return fsum(logs * floors)
 
 
 def chebyshev_psi(table: SieveTable, x: int) -> float:

@@ -4,10 +4,10 @@ Log-space checks pass at margin >= -SLACK (1e-9), so float error can
 never fabricate a counterexample of a proven theorem; pi-upper and
 mertens1-bound pass at margin >= 0, dusart and stirling-lower only at
 margin > 0. Where exact integer arithmetic is feasible (small
-parameters) a zero-tolerance big-integer pass runs alongside; a miss
-there overrides the float verdict with its own witness (margin -1.0),
-built here by hand. Every other verdict comes from
-outcomes.worst_case_blocks. Failures are reported, never raised.
+parameters) a zero-tolerance big-integer pass runs alongside; its first
+miss, as exact_case would pick it, overrides the float verdict with its
+own witness (margin -1.0), built here by hand. Every other verdict comes
+from outcomes.worst_case_blocks. Failures are reported, never raised.
 
 pi(n), psi(x), theta(x) and the sum of 1/p are step functions, held to
 rising curves at the tight end of each constant piece by
@@ -56,9 +56,9 @@ def check_binomial_bounds(n_max: int) -> VerificationOutcome:
     for n in range(1, min(30, n_max) + 1):
         c = math.comb(2 * n, n)
         if not (4 ** n <= c * (2 * n + 1) and c <= 4 ** n):
-            out = VerificationOutcome("binomial-bounds", (1, n_max), False,
-                                      Witness(input=n, lhs=float(c),
-                                              rhs=float(4 ** n), margin=-1.0))
+            return VerificationOutcome("binomial-bounds", (1, n_max), False,
+                                       Witness(input=n, lhs=float(c),
+                                               rhs=float(4 ** n), margin=-1.0))
     return out
 
 
@@ -121,9 +121,9 @@ def check_primorial_bound(table: SieveTable,
         if int(table.spf[k]) == k and k >= 2:
             primorial *= k
         if primorial > 4 ** k:
-            out = VerificationOutcome("primorial-bound", (1, k_max), False,
-                                      Witness(input=k, lhs=float(primorial),
-                                              rhs=float(4 ** k), margin=-1.0))
+            return VerificationOutcome("primorial-bound", (1, k_max), False,
+                                       Witness(input=k, lhs=float(primorial),
+                                               rhs=float(4 ** k), margin=-1.0))
     return out
 
 
@@ -148,9 +148,10 @@ def check_interval_primorial(table: SieveTable,
                 prod *= p
         binom = math.comb(2 * m + 1, m + 1)
         if binom % prod != 0 or prod > 4 ** m:
-            out = VerificationOutcome("interval-primorial", (1, m_max), False,
-                                      Witness(input=m, lhs=float(prod),
-                                              rhs=float(binom), margin=-1.0))
+            return VerificationOutcome(
+                "interval-primorial", (1, m_max), False,
+                Witness(input=m, lhs=float(prod), rhs=float(binom),
+                        margin=-1.0))
     return out
 
 

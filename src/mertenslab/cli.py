@@ -151,6 +151,7 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     overrides = dict(args.tol or [])
+    suites.resolve_tolerances(overrides)    # a bad name exits before the sieve
     table = build_sieve(args.limit)
     checks = suites.build_checks(table, args.suite, overrides)
     outcomes = suites.run_checks(checks, args.threads)

@@ -6,10 +6,12 @@ enumeration, and primes_upto(x) is the one way to the primes <= x.
 build_sieve(limit) is the one way to a table. Construction is segmented
 so cache behaviour stays flat at large limits, and each segment takes
 plain strided stores of the base primes, largest first, so no slot is
-read back; the finished table is immutable. Largest prime factors over
-a range come from one memoized walk over the SPF chains
-(largest_factor_walk), and the factorizations of a whole range from
-one vectorized walk down them (factor_exponents).
+read back; the base primes, those up to sqrt(limit), are the prime list
+of a table built the same way at that smaller limit, and the finished
+table is immutable. Largest prime factors over a range come from one
+memoized walk over the SPF chains (largest_factor_walk), and the
+factorizations of a whole range from one vectorized walk down them
+(factor_exponents).
 """
 
 import math
@@ -60,25 +62,14 @@ def estimate_table_bytes(limit: int) -> int:
     return 4 * (limit + 1) + 8 * prime_estimate
 
 
-def _base_primes(limit: int) -> np.ndarray:
-    """Dense boolean sieve for the base primes up to sqrt of the limit."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p:: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
-
-
 def build_sieve(limit: int) -> SieveTable:
     """Build the SPF table and prime list for 2..limit.
 
     The result is bit-identical for any SEGMENT >= 2: segments cover
     disjoint ranges and base primes are stored largest-first with plain
     strided writes, so a composite's smallest prime factor p, which
-    reaches it since p * p <= n, writes its slot last. A table
+    reaches it since p * p <= n, writes its slot last. The base primes
+    are build_sieve(isqrt(limit)).primes, none below limit 4. A table
     whose estimated size exceeds MEMORY_BUDGET raises ResourceError
     before anything is allocated. That holds from limit 714,219,036 on,
     far below 2^32, so every smallest prime factor fits the uint32 array.
@@ -95,8 +86,10 @@ def build_sieve(limit: int) -> SieveTable:
             required_bytes=required, budget_bytes=MEMORY_BUDGET)
 
     spf = np.zeros(limit + 1, dtype=np.uint32)
-    base = _base_primes(math.isqrt(limit))
-    base_list = [int(p) for p in base]
+    root = math.isqrt(limit)
+    base = (build_sieve(root).primes if root >= 2
+            else np.empty(0, dtype=np.int64))
+    base_list = base.tolist()
     prime_chunks: list[np.ndarray] = []
 
     for lo in range(2, limit + 1, SEGMENT):
@@ -109,9 +102,8 @@ def build_sieve(limit: int) -> SieveTable:
         view[fresh - lo] = fresh
         prime_chunks.append(fresh)
 
-    primes = (np.concatenate(prime_chunks) if prime_chunks
-              else np.empty(0, dtype=np.int64))
-    return SieveTable(limit=limit, spf=spf, primes=primes)
+    return SieveTable(limit=limit, spf=spf,
+                      primes=np.concatenate(prime_chunks))
 
 
 def factorize(table: SieveTable, n: int) -> Factorization:
@@ -167,14 +159,6 @@ def factor_exponents(table: SieveTable, n_max: int):
     ks, ps, es = (np.concatenate(col) for col in zip(*rounds))
     order = np.argsort(ks, kind="stable")
     return ks[order], ps[order], es[order]
-
-
-def nth_prime(table: SieveTable, n: int) -> int:
-    """The n-th prime with p_1 = 2."""
-    if not 1 <= n <= table.primes.size:
-        raise DomainError(
-            f"n={n} outside [1, {table.primes.size}] primes available")
-    return int(table.primes[n - 1])
 
 
 def largest_prime_factor(table: SieveTable, n: int) -> int:

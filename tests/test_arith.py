@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from mertenslab import arith as A
 from mertenslab.errors import DomainError
 from mertenslab.outcomes import Witness
+from mertenslab.summation import compensated_cumsum
 
-from oracles import (divisor_lambda_loop, divisors_brute, factorial_exponent,
-                     k1_diffs_loop, legendre_misses_loop, mobius_brute,
-                     selberg_diffs_loop, trial_factorize)
+from oracles import (divisor_lambda_loop, divisors_brute, k1_diffs_loop,
+                     legendre_misses_loop, mobius_brute, selberg_diffs_loop,
+                     trial_factorize)
 
 
 def test_von_mangoldt_examples(table_1e4):
@@ -31,71 +32,50 @@ def test_von_mangoldt_prime_power_structure(table_1e4):
 
 
 def test_mobius(table_1e4):
-    assert A.mobius(table_1e4, 1) == 1
-    assert A.mobius(table_1e4, 6) == 1
-    assert A.mobius(table_1e4, 12) == 0
-    for n in range(1, 2000):
-        assert A.mobius(table_1e4, n) == mobius_brute(n)
+    mu = A.mobius_values(table_1e4, 2000)
+    assert (mu[1], mu[6], mu[12]) == (1, 1, 0)
+    assert mu[1:].tolist() == [mobius_brute(n) for n in range(1, 2001)]
+
+
+@pytest.fixture(scope="module")
+def mu_90000(table_1e5):
+    return A.mobius_values(table_1e5, 300 * 300)
 
 
 @settings(max_examples=100, deadline=None)
 @given(m=st.integers(1, 300), n=st.integers(1, 300))
-def test_mobius_multiplicative_on_coprimes(table_1e6, m, n):
+def test_mobius_multiplicative_on_coprimes(mu_90000, m, n):
     if math.gcd(m, n) == 1:
-        assert A.mobius(table_1e6, m * n) == \
-            A.mobius(table_1e6, m) * A.mobius(table_1e6, n)
-
-
-def test_legendre_valuation_examples():
-    assert A.legendre_valuation(2, 10) == 8
-    assert A.legendre_valuation(7, 10) == 1
-    assert A.legendre_valuation(11, 10) == 0
-    with pytest.raises(DomainError):
-        A.legendre_valuation(4, 10)
-    with pytest.raises(DomainError):
-        A.legendre_valuation(2, -1)
-
-
-def test_legendre_valuation_factored_ten_factorial():
-    # cross-check by factoring 10! term by term
-    assert A.legendre_valuation(2, 10) == factorial_exponent(2, 10)
-
-
-@settings(max_examples=80, deadline=None)
-@given(n=st.integers(0, 200), p=st.sampled_from([2, 3, 5, 7, 11, 13, 47]))
-def test_legendre_valuation_vs_factorial(n, p):
-    assert A.legendre_valuation(p, n) == factorial_exponent(p, n)
-
-
-def test_legendre_valuation_large_n_no_overflow():
-    n = 2 ** 62
-    total = A.legendre_valuation(2, n)
-    assert total == n - 1  # sum of n/2^k floors for a power of two
+        assert mu_90000[m * n] == mu_90000[m] * mu_90000[n]
 
 
 def test_log_factorial_direct():
-    assert A.log_factorial_direct(0) == 0.0
-    assert A.log_factorial_direct(1) == 0.0
-    assert A.log_factorial_direct(10) == pytest.approx(
-        math.log(3628800), rel=1e-15)
+    lf = A.log_factorial_table(10)
+    assert lf[0] == lf[1] == 0.0
+    assert lf[10] == pytest.approx(math.log(3628800), rel=1e-15)
+
+
+def _log_factorial_via_lambda(table, n_max):
+    """log(k!) for k = 0..n_max as the running sum of Lambda over the
+    divisors of each k: the route of logfact_dual_route_sweep."""
+    return compensated_cumsum(A.divisor_lambda_sums(table, n_max))
 
 
 def test_log_factorial_via_lambda(table_1e4):
     expected = (8 * math.log(2) + 4 * math.log(3) + 2 * math.log(5)
                 + math.log(7))
-    assert A.log_factorial_via_lambda(table_1e4, 10) == pytest.approx(
-        expected, rel=1e-14)
-    assert A.log_factorial_via_lambda(table_1e4, 2) == pytest.approx(
-        math.log(2), rel=1e-15)
-    assert A.log_factorial_via_lambda(table_1e4, 3) == pytest.approx(
-        math.log(6), rel=1e-15)
+    via = _log_factorial_via_lambda(table_1e4, 10)
+    assert via[10] == pytest.approx(expected, rel=1e-14)
+    assert via[2] == pytest.approx(math.log(2), rel=1e-15)
+    assert via[3] == pytest.approx(math.log(6), rel=1e-15)
 
 
 def test_log_factorial_routes_agree(table_1e4):
+    direct = A.log_factorial_table(10 ** 4)
+    via = _log_factorial_via_lambda(table_1e4, 10 ** 4)
     for n in (2, 10, 100, 5000, 10 ** 4):
-        direct = A.log_factorial_direct(n)
-        via = A.log_factorial_via_lambda(table_1e4, n)
-        assert abs(direct - via) / direct <= 1e-12
+        assert abs(direct[n] - via[n]) / direct[n] <= 1e-12
+        assert direct[n] == pytest.approx(math.lgamma(n + 1), rel=1e-13)
 
 
 def test_log_sum_identity_sweep_small_k(table_1e4):
@@ -166,11 +146,7 @@ def test_domain_guards(table_1e4):
     with pytest.raises(DomainError):
         A.von_mangoldt(table_1e4, 0)
     with pytest.raises(DomainError):
-        A.mobius(table_1e4, 10 ** 4 + 1)
-    with pytest.raises(DomainError):
         A.chebyshev_psi(table_1e4, -1)
-    with pytest.raises(DomainError):
-        A.log_factorial_via_lambda(table_1e4, 1)
 
 
 def test_cumulative_tables_match_point_ops(table_1e4):
@@ -184,7 +160,7 @@ def test_cumulative_tables_match_point_ops(table_1e4):
         assert theta[x] == pytest.approx(A.theta_log_primorial(table_1e4, x),
                                          rel=1e-13, abs=1e-13)
         assert pi[x] == A.prime_count(table_1e4, x)
-        assert lf[x] == pytest.approx(A.log_factorial_direct(x),
+        assert lf[x] == pytest.approx(math.lgamma(x + 1),
                                       rel=1e-13, abs=1e-13)
     for table in (psi, theta, lf, pi):
         assert np.all(np.diff(table) >= 0)
@@ -217,8 +193,6 @@ def test_log_sum_identity_sweep_needs_k_max_two(table_1e4, k_max):
 def test_mobius_values_match_point_and_brute(table_1e4):
     mu = A.mobius_values(table_1e4, 10 ** 4)
     assert mu.dtype == np.int64 and mu[0] == 0
-    assert mu[1:].tolist() == [A.mobius(table_1e4, n)
-                               for n in range(1, 10 ** 4 + 1)]
     assert mu[1:].tolist() == [mobius_brute(n) for n in range(1, 10 ** 4 + 1)]
     assert A.mobius_values(table_1e4, 0).tolist() == [0]
     assert A.mobius_values(table_1e4, 1).tolist() == [0, 1]

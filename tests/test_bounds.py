@@ -5,6 +5,7 @@ import pytest
 from mertenslab import arith
 from mertenslab import bounds as B
 from mertenslab.errors import DomainError
+from mertenslab.outcomes import Witness
 
 
 def test_binomial_bounds_small_exact():
@@ -15,6 +16,33 @@ def test_binomial_bounds_small_exact():
     assert math.comb(4, 2) == 6 and 3.2 <= 6 <= 16
     with pytest.raises(DomainError):
         B.check_binomial_bounds(0)
+
+
+def _plant_comb(monkeypatch, planted):
+    """math.comb with the value planted[(a, b)] at each of its keys."""
+    real = math.comb
+    monkeypatch.setattr(B.math, "comb",
+                        lambda a, b: planted.get((a, b)) or real(a, b))
+
+
+def test_binomial_bounds_exact_pass_reports_first_miss(monkeypatch):
+    # C(2n, n) = 4^n + 1 breaks the upper bound; planted at n = 3 and 7
+    _plant_comb(monkeypatch, {(6, 3): 4 ** 3 + 1, (14, 7): 4 ** 7 + 1})
+    out = B.check_binomial_bounds(100)
+    assert not out.passed
+    assert out.worst_witness == Witness(input=3, lhs=65.0, rhs=64.0,
+                                        margin=-1.0)
+
+
+def test_interval_primorial_exact_pass_reports_first_miss(table_1e4,
+                                                          monkeypatch):
+    # C(2m+1, m+1) + 1, planted at m = 4 and 9, is no multiple of the
+    # product of the primes in (m+1, 2m+1]: 7 at m = 4, 46189 at m = 9
+    _plant_comb(monkeypatch, {(9, 5): 127, (19, 10): 92379})
+    out = B.check_interval_primorial(table_1e4, 100)
+    assert not out.passed
+    assert out.worst_witness == Witness(input=4, lhs=7.0, rhs=127.0,
+                                        margin=-1.0)
 
 
 def test_psi_dyadic(table_1e4):

@@ -107,6 +107,19 @@ def test_table_output_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
 
+def test_table_snapshot(capsys):
+    # every table function at 10, 100 and 1000, then one JSON table and
+    # logzeta at s = 3, byte for byte
+    runs = [("--func", func) for func in cli.TABLE_FUNCTIONS]
+    runs += [("--func", "recip-primes", "--format", "json"),
+             ("--func", "logzeta", "--s", "3")]
+    outs = []
+    for run in runs:
+        code, out, err = run_cli(capsys, "table", "--xs", "10,100,1000", *run)
+        assert (run, code, err) == (run, 0, "")
+        outs.append(out)
+    assert "".join(outs).encode() == (DATA / "table_small.txt").read_bytes()
+
 def test_verify_passes_and_writes_json(capsys, tmp_path):
     out_path = tmp_path / "verify.json"
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities",
@@ -128,11 +141,16 @@ def test_verify_unknown_suite(capsys):
                          "--limit", "1000")
     assert code == 2
 
-def test_verify_unknown_tolerance(capsys):
+def test_verify_unknown_tolerance(capsys, monkeypatch):
+    # rejected before any table is built
+    def no_table(*args, **kwargs):
+        raise AssertionError("sieve built for an unknown tolerance")
+
+    monkeypatch.setattr(cli, "build_sieve", no_table)
     code, _, err = run_cli(capsys, "verify", "--suite", "bounds",
                            "--limit", "1000", "--tol", "bogus=1")
     assert code == 2
-    assert "unknown tolerance" in err
+    assert "unknown tolerance 'bogus'" in err
 
 def test_verify_zero_threads(capsys, monkeypatch):
     # rejected while the arguments are parsed, before any table is built

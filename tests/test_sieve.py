@@ -15,7 +15,6 @@ from mertenslab.sieve import (
     factorize,
     largest_factor_range,
     largest_prime_factor,
-    nth_prime,
 )
 
 from oracles import trial_factorize, trial_largest_factor, trial_primes
@@ -26,6 +25,18 @@ def test_build_sieve_examples():
         == [2, 3, 5, 7]
     assert build_sieve(2).primes.tolist() == [2]
     assert build_sieve(100).primes.size == len(trial_primes(100)) == 25
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 8, 9, 15, 16, 24, 25, 48, 49,
+                                   120, 121, 10 ** 4 - 1, 10 ** 4,
+                                   10 ** 4 + 1])
+def test_primes_and_spf_at_square_boundaries(limit):
+    # the base primes come from the table at isqrt(limit), which gains a
+    # prime at limit p^2 and has none below limit 4
+    table = build_sieve(limit)
+    assert table.primes.tolist() == trial_primes(limit)
+    assert table.spf.tolist() == [0, 0] + [trial_factorize(n)[0][0]
+                                           for n in range(2, limit + 1)]
 
 
 def test_spf_invariants(table_1e4):
@@ -114,15 +125,6 @@ def test_factorize_examples(table_1e4):
     assert factorize(table_1e4, 2).factors == [(2, 1)]
 
 
-def test_nth_prime(table_1e4):
-    assert nth_prime(table_1e4, 1) == 2
-    assert nth_prime(table_1e4, 6) == 13
-    assert nth_prime(table_1e4, 25) == 97
-    oracle = trial_primes(200)
-    for i, p in enumerate(oracle, start=1):
-        assert nth_prime(table_1e4, i) == p
-
-
 def test_largest_prime_factor(table_1e4):
     assert largest_prime_factor(table_1e4, 10) == 5
     assert largest_prime_factor(table_1e4, 8) == 2
@@ -181,10 +183,6 @@ def test_domain_errors(table_1e4):
         factorize(table_1e4, 1)
     with pytest.raises(DomainError):
         factorize(table_1e4, 10 ** 4 + 1)
-    with pytest.raises(DomainError):
-        nth_prime(table_1e4, 0)
-    with pytest.raises(DomainError):
-        nth_prime(table_1e4, table_1e4.primes.size + 1)
     with pytest.raises(DomainError):
         largest_prime_factor(table_1e4, 0)
     for lo, hi in ((1, 10), (2, 10 ** 4 + 2), (10, 9)):
