@@ -16,9 +16,8 @@ from .errors import DomainError
 from .outcomes import (VerificationOutcome, exact_case, worst_case,
                        worst_case_blocks)
 from .sieve import SieveTable, divide_out, factor_exponents, factorize
-from .summation import (_jump_cumulative, _multiples, compensated_cumsum,
-                         cumsum_blocks, dirichlet, fsum, piece_ends,
-                         step_values)
+from .summation import (_multiples, compensated_cumsum, cumsum_blocks,
+                         dirichlet, fsum, int_blocks, joined, pieces)
 
 PSI_THETA_TOL = 1e-12
 
@@ -35,30 +34,68 @@ def von_mangoldt(table: SieveTable, n: int) -> float:
     return math.log(p) if m == 1 else 0.0
 
 
+def higher_powers(table: SieveTable, x: int):
+    """The prime powers p^k <= x with k >= 2 (about 555 at 1e7), grouped
+    by p, both ascending, with the index of each p in table.primes."""
+    powers, bases = [], []
+    for i, p in enumerate(table.primes_upto(math.isqrt(x)).tolist()):
+        m = p * p
+        while m <= x:
+            powers.append(m)
+            bases.append(i)
+            m *= p
+    return np.array(powers, dtype=np.int64), np.array(bases, dtype=np.intp)
+
+
 def prime_power_terms(table: SieveTable, x: int):
     """All prime powers m = p^k <= x and their log p.
 
     Returns (ms, logs) as int64/float64 arrays, primes first, then the
-    higher powers grouped by p ascending. log p reuses the k = 1 value
-    so a power and its base carry bit-identical weights.
+    higher powers as higher_powers lists them. log p reuses the k = 1
+    value so a power and its base carry bit-identical weights.
     """
     if x < 2:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
     ps = table.primes_upto(x)
     base_logs = np.log(ps.astype(np.float64))
-    extra_m: list[int] = []
-    extra_l: list[float] = []
-    for i in range(table.primes_upto(math.isqrt(x)).size):
-        p = int(ps[i])
-        lp = float(base_logs[i])
-        m = p * p
-        while m <= x:
-            extra_m.append(m)
-            extra_l.append(lp)
-            m *= p
-    ms = np.concatenate([ps, np.asarray(extra_m, dtype=np.int64)])
-    logs = np.concatenate([base_logs, np.asarray(extra_l, dtype=np.float64)])
-    return ms, logs
+    powers, bases = higher_powers(table, x)
+    return (np.concatenate([ps, powers]),
+            np.concatenate([base_logs, base_logs[bases]]))
+
+
+def log_base(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """log p: with prime_steps, psi over the powers and theta alone."""
+    return np.log(p.astype(np.float64))
+
+
+def prime_steps(table: SieveTable, x: int, weight, powers: bool = False):
+    """The sum of weight(m, p) over the primes m = p <= x, or with
+    ``powers`` over all prime powers m = p^k, as (jumps, prefix) blocks
+    for summation.pieces: the m ascending and the sum after each. weight
+    maps a block's int64 (m, p) to float64 terms; None counts, in int64.
+    The higher powers are merged in a block at a time and cumsum_blocks
+    is told the term count, so the prefix is compensated_cumsum of all
+    the terms, bit for bit as np.log gives an element the same bits
+    wherever it sits in an array."""
+    ps = table.primes_upto(x)
+    hp = np.sort(higher_powers(table, x)[0]) if powers else ps[:0]
+    below = np.searchsorted(ps, hp)     # the primes before each power
+    at = below + np.arange(hp.size)     # its index among all terms
+    block = []                          # the (m, p) merged last
+
+    def merged(lo, hi):
+        a, b = np.searchsorted(at, [lo, hi]).tolist()
+        into, prime, q = below[a:b] - (lo - a), ps[lo - a:hi - b], hp[a:b]
+        block[:] = (np.insert(prime, into, v) for v in (q, table.spf[q]))
+        return block
+
+    n = ps.size + hp.size
+    if weight is None:
+        yield from ((merged(c[0] - 1, c[-1])[0], c) for c in int_blocks(1, n))
+        return
+    # cumsum_blocks asks for each block's terms just before it yields it
+    for _, prefix in cumsum_blocks(n, lambda lo, hi: weight(*merged(lo, hi))):
+        yield block[0], prefix
 
 
 def chebyshev_psi(table: SieveTable, x: int) -> float:
@@ -173,16 +210,17 @@ def divisor_lambda_sums(table: SieveTable, x: int) -> np.ndarray:
     """
     table.check_range(x, lo=0)
     arr = np.zeros(x + 1, dtype=np.float64)
-    ms, logs = prime_power_terms(table, x)
+    ps = table.primes_upto(x)
+    logs = np.log(ps.astype(np.float64))
     small = table.primes_upto(math.isqrt(x)).size
-    n_primes = table.primes_upto(x).size
-    big, big_logs = ms[small:n_primes], logs[small:n_primes]
-    for m, lp in zip(ms[:small].tolist(), logs[:small].tolist()):
+    big, big_logs = ps[small:], logs[small:]
+    for m, lp in zip(ps[:small].tolist(), logs[:small].tolist()):
         arr[m::m] += lp
     for k in range(1, math.isqrt(x) + 1):
         n = int(np.searchsorted(big, x // k, side="right"))
         arr[k * big[:n]] += big_logs[:n]
-    for m, lp in zip(ms[n_primes:].tolist(), logs[n_primes:].tolist()):
+    powers, bases = higher_powers(table, x)
+    for m, lp in zip(powers.tolist(), logs[bases].tolist()):
         arr[m::m] += lp
     return arr
 
@@ -289,16 +327,11 @@ def psi_theta_dominance_sweep(table: SieveTable,
     of those pieces cover every integer in [2, x_max].
     """
     table.check_range(x_max)
-    ms, logs = prime_power_terms(table, x_max)
-    # prime power list is primes first, then k >= 2 powers
-    n_primes = table.primes_upto(x_max).size
-    pos, psi_cum = _jump_cumulative(ms, logs)
-    # the primes ascend already: a stable sort of them is the identity
-    ps, theta_cum = ms[:n_primes], compensated_cumsum(logs[:n_primes])
-    ends, counts = piece_ends(pos, 2, x_max)
-    xs = ends.ravel()
-    psi = np.repeat(step_values(psi_cum, counts), 2)
-    theta = step_values(theta_cum, np.searchsorted(ps, xs, side="right"))
+    ends, psi = joined(pieces(prime_steps(table, x_max, log_base, True),
+                              2, x_max))
+    ps, theta = joined(prime_steps(table, x_max, log_base))
+    xs, psi = ends.ravel(), np.repeat(psi, 2)
+    theta = np.r_[0.0, theta][np.searchsorted(ps, xs, side="right")]
     diff = psi - theta
     out = worst_case("psi-theta-dominance", (2, x_max), xs, theta, psi, diff,
                      -PSI_THETA_TOL)

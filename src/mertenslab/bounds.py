@@ -9,26 +9,25 @@ miss, as exact_case would pick it, overrides the float verdict with its
 own witness (margin -1.0), built here by hand. Every other verdict comes
 from outcomes.worst_case_blocks. Failures are reported, never raised.
 
-pi(n), psi(x), theta(x) and the sum of 1/p are step functions, held to
-rising curves at the tight end of each constant piece by
-summation.step_law (each check says why its curve rises), or by
-_dyadic_sweep for a difference of two. psi there is the compensated
-prefix sum of the sorted prime-power terms, within 16 ulps of exact at
-1e7; theta is the same sum over the primes.
+pi(n), psi(x), theta(x), the sum of 1/p and the gain of psi or theta
+over (n, 2n] are step functions, held to rising curves at the tight end
+of each constant piece by summation.step_law (each check says why its
+curve rises). arith.prime_steps streams them: psi is the compensated
+prefix sum of the prime-power terms, within 16 ulps of exact at 1e7,
+and theta the same sum over the primes.
 """
 
 import math
 
 import numpy as np
 
-from .arith import (log_factorial_blocks, log_factorial_table,
-                    prime_power_terms)
+from .arith import (log_base, log_factorial_blocks, log_factorial_table,
+                    prime_steps)
 from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness, worst_case_blocks
 from .partial_sums import mertens_bound_sweep
 from .sieve import SieveTable
-from .summation import (_jump_cumulative, compensated_cumsum, int_blocks,
-                        piece_blocks, step_law, step_values)
+from .summation import compensated_cumsum, int_blocks, joined, step_law
 
 LOG4 = math.log(4.0)
 SLACK = 1e-9
@@ -62,23 +61,22 @@ def check_binomial_bounds(n_max: int) -> VerificationOutcome:
     return out
 
 
-def _dyadic_sweep(name: str, pos: np.ndarray, cum: np.ndarray, n_max: int,
-                  s: int) -> VerificationOutcome:
+def _dyadic_sweep(name: str, steps, n_max: int, s: int) -> VerificationOutcome:
     """S(2n + s) - S(n + s) <= n log 4 for n = 1..n_max, S the step
-    function with jumps ``pos`` and prefix sums ``cum``. For each jump q,
-    S(2n + s) moves at n = ceil((q - s)/2) and S(n + s) at n = q - s;
-    between moves the gain is constant and the cap grows."""
+    function with the (jumps, prefix) blocks ``steps``, joined to read it
+    at any x. S(2n + s) moves at n = ceil((q - s)/2) and S(n + s) at
+    n = q - s for each jump q: the gain, a step function with those
+    jumps, streams to step_law against the rising cap."""
+    pos, cum = joined(steps)
+    cum = np.r_[0.0, cum]           # S after each jump count, 0 at none
     moves = np.sort(np.concatenate(((pos - s + 1) // 2, pos - s)))
     moves = moves[np.concatenate(([True], moves[1:] != moves[:-1]))]
-
-    def blocks():
-        for ends, _ in piece_blocks(moves, 1, n_max):
-            ns = ends[:, 0]
-            gain = (step_values(cum, np.searchsorted(pos, 2 * ns + s, "right"))
-                    - step_values(cum, np.searchsorted(pos, ns + s, "right")))
-            cap = ns * LOG4         # 2n log 2 bit for bit: log 4 = 2 log 2
-            yield ns, gain, cap, cap - gain
-    return worst_case_blocks(name, (1, n_max), blocks(), -SLACK)
+    gains = ((n, cum[np.searchsorted(pos, 2 * n + s, "right")]
+              - cum[np.searchsorted(pos, n + s, "right")])
+             for n in (moves[i] for i in int_blocks(0, moves.size - 1)))
+    # 2n log 2 bit for bit: log 4 = 2 log 2
+    return step_law(name, gains, 1, n_max, lambda n: n * LOG4, "upper",
+                    -SLACK)
 
 
 def check_psi_dyadic(table: SieveTable, n_max: int) -> VerificationOutcome:
@@ -87,8 +85,8 @@ def check_psi_dyadic(table: SieveTable, n_max: int) -> VerificationOutcome:
     psi(n) at n = q."""
     if not 1 <= 2 * n_max <= table.limit:
         raise DomainError(f"2*n_max={2 * n_max} outside [2, {table.limit}]")
-    pos, psi = _jump_cumulative(*prime_power_terms(table, 2 * n_max))
-    return _dyadic_sweep("psi-dyadic", pos, psi, n_max, 0)
+    steps = prime_steps(table, 2 * n_max, log_base, True)
+    return _dyadic_sweep("psi-dyadic", steps, n_max, 0)
 
 
 def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
@@ -100,8 +98,8 @@ def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
     table.check_range(x_max)
     if not 0 < c1 < c2:
         raise DomainError(f"need 0 < c1 < c2, got ({c1}, {c2})")
-    pos, psi = _jump_cumulative(*prime_power_terms(table, x_max))
-    return min((step_law("psi-linear", pos, psi, 2, x_max,
+    return min((step_law("psi-linear",
+                         prime_steps(table, x_max, log_base, True), 2, x_max,
                          lambda x: c * x, side, -SLACK)
                 for c, side in ((c1, "lower"), (c2, "upper"))),
                key=lambda o: o.worst_witness.margin)
@@ -112,10 +110,8 @@ def check_primorial_bound(table: SieveTable,
     """theta(k) <= k log 4, a rising cap, for k = 1..k_max; exact
     product for k <= 60."""
     table.check_range(k_max, lo=1)
-    ps = table.primes_upto(k_max)
-    theta = compensated_cumsum(np.log(ps.astype(np.float64)))
-    out = step_law("primorial-bound", ps, theta, 1, k_max,
-                   lambda k: k * LOG4, "upper", -SLACK)
+    out = step_law("primorial-bound", prime_steps(table, k_max, log_base),
+                   1, k_max, lambda k: k * LOG4, "upper", -SLACK)
     primorial = 1
     for k in range(1, min(60, k_max) + 1):
         if int(table.spf[k]) == k and k >= 2:
@@ -138,9 +134,8 @@ def check_interval_primorial(table: SieveTable,
     if not 1 <= m_max <= (table.limit - 1) // 2:
         raise DomainError(
             f"m_max={m_max} outside [1, {(table.limit - 1) // 2}]")
-    ps = table.primes_upto(2 * m_max + 1)
-    theta = compensated_cumsum(np.log(ps.astype(np.float64)))
-    out = _dyadic_sweep("interval-primorial", ps, theta, m_max, 1)
+    out = _dyadic_sweep("interval-primorial",
+                        prime_steps(table, 2 * m_max + 1, log_base), m_max, 1)
     for m in range(1, min(30, m_max) + 1):
         prod = 1
         for p in range(m + 2, 2 * m + 2):
@@ -178,7 +173,7 @@ def check_pi_upper(table: SieveTable, n_max: int) -> VerificationOutcome:
     log^2 n is positive; pi is the jump count itself.
     """
     table.check_range(n_max, lo=3)
-    return step_law("pi-upper", table.primes, None, 3, n_max,
+    return step_law("pi-upper", prime_steps(table, n_max, None), 3, n_max,
                     lambda n: math.e * n / np.log(n.astype(np.float64)),
                     "upper")
 
@@ -209,7 +204,7 @@ def check_reciprocal_lower(table: SieveTable,
     cum = compensated_cumsum(1.0 / ps.astype(np.float64))
     shift = math.log(math.pi * math.pi / 6.0)
     return step_law(
-        "reciprocal-lower", ps, cum, 2, n_max,
+        "reciprocal-lower", [(ps, cum)], 2, n_max,
         lambda n: np.log(np.log(n.astype(np.float64) + 1.0)) - shift,
         "lower", -SLACK)
 

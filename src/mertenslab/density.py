@@ -20,7 +20,7 @@ from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness, exact_case, worst_case
 from .partial_sums import LOG2, ResidualReport, ResidualRow, _validate_xs
 from .sieve import LPF_CHUNK, SieveTable, largest_factor_walk
-from .summation import _multiples, fsum, piece_ends, step_values
+from .summation import _multiples, fsum, joined, pieces
 
 
 def census_counts(table: SieveTable, xs) -> np.ndarray:
@@ -213,9 +213,10 @@ def small_part_bound_sweep(table: SieveTable,
     """
     table.check_range(x_max, lo=10)
     roots = table.primes_upto(math.isqrt(x_max))
-    ends, idx = piece_ends(roots * roots, 10, x_max)
+    ends, idx = joined(pieces([(roots * roots, np.arange(1, roots.size + 1))],
+                              10, x_max))           # idx = pi(sqrt x)
     xs = ends[:, 0]
-    small = step_values(np.cumsum(roots - 1), idx)
+    small = np.r_[0, np.cumsum(roots - 1)][idx]
     sqrt_x = np.sqrt(xs.astype(np.float64))
     mid = idx * sqrt_x                      # pi(sqrt x) * sqrt x
     top = math.e * xs / np.log(sqrt_x)

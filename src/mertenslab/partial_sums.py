@@ -6,9 +6,9 @@ loglog x + M at caller-chosen sample points. The limit constant is
 estimated by two independent routes that must agree; both verify and
 constants read that agreement from meissel_mertens_agreement.
 
-The exhaustive sweeps hold each sum, a step function, within a constant
-of log x at every integer through summation.step_law, the sweep the
-bounds checks share.
+The exhaustive sweeps read each sum from arith.prime_steps and hold it
+within a constant of log x at every integer through summation.step_law;
+the gap between the first two sums reads the higher powers alone.
 """
 
 import math
@@ -16,13 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arith import prime_power_terms
+from .arith import higher_powers, log_base, prime_power_terms, prime_steps
 from .errors import DomainError
 from .outcomes import VerificationOutcome, worst_case
 from .sieve import SieveTable
 from . import summation
-from .summation import (_jump_cumulative, _parts, compensated_cumsum, fsum,
-                         running_sums, step_law)
+from .summation import _parts, compensated_cumsum, fsum, running_sums, step_law
 
 EULER_GAMMA = 0.57721566490153286060
 MEISSEL_MERTENS_REFERENCE = 0.2614972128
@@ -222,10 +221,8 @@ def lambda_sum_bound_sweep(table: SieveTable, x_max: int,
     """|sum Lambda(m)/m - log x| <= ceiling at every integer x in
     [10, x_max]: log x rises, so the deviation peaks at a piece end."""
     table.check_range(x_max, lo=10)
-    ms, logs = prime_power_terms(table, x_max)
-    pos, cum = _jump_cumulative(ms, np.divide(logs, ms, out=logs))
-    del ms, logs            # not held while the pieces stream
-    return step_law("lambda-sum-bound", pos, cum, 10, x_max,
+    steps = prime_steps(table, x_max, lambda m, p: log_base(m, p) / m, True)
+    return step_law("lambda-sum-bound", steps, 10, x_max,
                     lambda x: (np.log(x, dtype=np.float64), ceiling), "abs")
 
 
@@ -234,10 +231,8 @@ def mertens_bound_sweep(table: SieveTable, n_max: int,
     """|sum (log p)/p - log n| <= ceiling at every integer n in [2, n_max]:
     log n rises, so the deviation peaks at a piece end."""
     table.check_range(n_max)
-    ps = table.primes_upto(n_max)
-    pf = ps.astype(np.float64)
-    cum = compensated_cumsum(np.log(pf) / pf)   # the primes ascend already
-    return step_law("mertens1-bound", ps, cum, 2, n_max,
+    steps = prime_steps(table, n_max, lambda m, p: log_base(m, p) / p)
+    return step_law("mertens1-bound", steps, 2, n_max,
                     lambda n: (np.log(n, dtype=np.float64), ceiling), "abs")
 
 
@@ -249,12 +244,8 @@ def lambda_mertens_gap_sweep(table: SieveTable, x_max: int,
     log p / p^k; checking every jump value covers every integer x.
     """
     table.check_range(x_max)
-    ms, logs = prime_power_terms(table, x_max)
-    # prime power list is primes first, then k >= 2 powers; split positionally
-    n_primes = table.primes_upto(x_max).size
-    hp = ms[n_primes:]
-    terms = logs[n_primes:] / hp.astype(np.float64)
-    pos, cum = _jump_cumulative(hp, terms)
+    pos = np.sort(higher_powers(table, x_max)[0])
+    cum = compensated_cumsum(log_base(pos, table.spf[pos]) / pos)
     if pos.size == 0:       # no higher power yet: the gap is 0 throughout
         pos, cum = np.array([x_max]), np.zeros(1)
     out = worst_case("lambda-mertens-gap", (2, x_max), pos, cum, ceiling,

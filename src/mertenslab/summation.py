@@ -7,15 +7,13 @@ on thread count or shard boundaries. Prefix sums are built blockwise
 with fsum-anchored offsets, and dirichlet sums each n's divisor terms by
 fsum, so a convolution is bit for bit the one a per-n divisor loop gives.
 
-Every prime sum is a step function of its upper limit: _jump_cumulative
-turns jump positions and sizes into its prefix sums, piece_ends lists
-its constant pieces as (left, right) pairs by interleaving its strictly
-increasing jumps, with no sort, and step_values reads it on each piece.
-Against a monotone curve the gap on a piece is extreme at an end, which
-step_law reads: those cover every integer. The sweeps stream through
-piece_blocks, BLOCK pieces at a time, and cumsum_blocks; piece_ends and
-compensated_cumsum are their concatenation, and any BLOCK >= 1 gives
-the same bits.
+Every prime sum is a step function of its upper limit: a stream of
+(jumps, prefix) blocks, the jumps ascending and the sum after each, as
+arith.prime_steps makes them (a whole array is a one-block stream, and
+joined concatenates one). pieces reads it into its constant pieces and
+their values, BLOCK jumps at a time. Against a monotone curve the gap
+on a piece is extreme at an end, which step_law reads: those cover
+every integer. Any BLOCK >= 1 gives the same bits.
 """
 
 import math
@@ -161,71 +159,53 @@ def running_sums(values) -> np.ndarray:
     return s + np.cumsum(np.concatenate(([0.0], c)))
 
 
-def _jump_cumulative(positions: np.ndarray, terms: np.ndarray):
-    """Jump positions as a stable sort orders them, with compensated prefix
-    sums of their terms: the rest is sorted and inserted into the leading
-    ascending run (the primes of prime_power_terms)."""
-    drops = np.flatnonzero(positions[1:] < positions[:-1])
-    run = int(drops[0]) + 1 if drops.size else positions.size
-    rest = run + np.argsort(positions[run:], kind="stable")
-    at = np.searchsorted(positions[:run], positions[rest], side="right")
-    return (np.insert(positions[:run], at, positions[rest]),
-            compensated_cumsum(np.insert(terms[:run], at, terms[rest])))
-
-
-def piece_blocks(jumps: np.ndarray, lo: int, hi: int):
-    """The constant pieces of a step function on [lo, hi], as (left,
-    right) pairs, BLOCK pieces at a time.
-
-    The step function jumps at each entry of the sorted integer array
-    ``jumps``, which must not repeat in (lo, hi] (DomainError), and is
-    constant from one jump up to the integer before the next. The pieces
-    are [lo, q_a - 1], [q_a, q_(a+1) - 1], ..., [q_b, hi] for the jumps
-    q_a < ... < q_b in (lo, hi]; a piece one integer long has left = right.
-    Against a monotone curve the gap on a piece is extreme at one of its
-    two ends, so these cover every integer in [lo, hi]. Yields the pairs,
-    shape (m, 2) and ascending when raveled, with the number of jumps at
-    or below each piece: a, a + 1, ..., b over the whole stream.
-    """
-    a, b = np.searchsorted(jumps, [lo, hi], side="right").tolist()
-    inner = jumps[a:b]
-    if lo > hi or np.any(inner[1:] <= inner[:-1]):
-        raise DomainError(f"need lo <= hi, jumps rising in ({lo}, {hi}]")
-    for i in range(0, inner.size + 1, BLOCK):   # no copy of the jumps
-        j = min(i + BLOCK, inner.size + 1)
-        first, last = i == 0, j > inner.size
-        ends = np.empty((j - i, 2), dtype=np.int64)
-        ends[0, 0], ends[-1, 1] = lo, hi    # overwritten inside the stream
-        ends[first:, 0] = inner[i - 1 + first:j - 1]
-        ends[:j - i - last, 1] = inner[i:j - last] - 1
-        yield ends, np.arange(a + i, a + j)
-
-
 def int_blocks(lo: int, hi: int):
     """The integers lo..hi ascending, as int64 arrays of at most BLOCK."""
     for a in range(lo, hi + 1, BLOCK):
         yield np.arange(a, min(a + BLOCK, hi + 1), dtype=np.int64)
 
 
-def piece_ends(jumps: np.ndarray, lo: int, hi: int):
-    """All of piece_blocks at once: the (m, 2) pairs and the counts."""
-    ends, counts = zip(*piece_blocks(jumps, lo, hi))
-    return np.concatenate(ends), np.concatenate(counts)
+def pieces(steps, lo: int, hi: int):
+    """The constant pieces on [lo, hi] of the step function with the
+    (jumps, prefix) blocks ``steps``, read BLOCK jumps at a time and only
+    until a jump passes hi: [lo, q_a - 1], [q_a, q_(a+1) - 1], ...,
+    [q_b, hi] for the jumps q_a < ... < q_b in (lo, hi]. The jumps must
+    rise strictly across the stream (DomainError, as for lo > hi); the
+    function is 0 before the first and prefix[i] from jumps[i] on.
+    Yields (ends, values): the (left, right) pairs, shape (m, 2) and
+    ascending when raveled, and the value on each piece."""
+    if lo > hi:
+        raise DomainError(f"need lo <= hi, got [{lo}, {hi}]")
+    left, value, last = lo, 0, -math.inf
+    for jumps, prefix in ((q[i:i + BLOCK], v[i:i + BLOCK]) for q, v in steps
+                          for i in range(0, q.size, BLOCK)):
+        if jumps[0] <= last or np.any(jumps[1:] <= jumps[:-1]):
+            raise DomainError("jumps must rise strictly")
+        last = jumps[-1]
+        a, b = np.searchsorted(jumps, [lo, hi], side="right").tolist()
+        values = np.concatenate(([value], prefix[:b]))  # after 0, ..., b
+        if b > a:                           # the jumps in (lo, hi]
+            ends = np.empty((b - a, 2), dtype=np.int64)
+            ends[0, 0], ends[1:, 0] = left, jumps[a:b - 1]
+            ends[:, 1] = jumps[a:b] - 1
+            yield ends, values[a:b]
+            left = jumps[b - 1]
+        value = values[b]
+        if b < jumps.size:              # a jump past hi: the rest is unread
+            break
+    yield np.array([[left, hi]]), np.array([value])
 
 
-def step_values(cum: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The step function after ``counts`` jumps: ``cum[count - 1]``, where
-    ``cum`` holds its prefix sums, or 0 before the first jump."""
-    if not cum.size:
-        return np.zeros(np.shape(counts), dtype=cum.dtype)
-    return np.where(counts > 0, cum[counts - 1], 0)
+def joined(blocks):
+    """A stream of array tuples as one tuple of the arrays concatenated."""
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
-def step_law(name: str, pos: np.ndarray, cum, lo: int, hi: int, curve,
-             side: str, floor: float = 0.0) -> VerificationOutcome:
-    """The step function with jumps ``pos`` (as for piece_blocks) and
-    prefix sums ``cum`` (None: the jump count) against ``curve`` at every
-    integer of [lo, hi], decided by worst_case_blocks at ``floor``.
+def step_law(name: str, steps, lo: int, hi: int, curve, side: str,
+             floor: float = 0.0) -> VerificationOutcome:
+    """The step function with the (jumps, prefix) blocks ``steps`` (as
+    pieces reads them) against ``curve`` at every integer of [lo, hi],
+    decided by worst_case_blocks at ``floor``.
 
     "upper": step <= curve(x) at each piece's left end, witness (step,
     curve); "lower": step >= curve(x) at its right end, witness (curve,
@@ -235,8 +215,7 @@ def step_law(name: str, pos: np.ndarray, cum, lo: int, hi: int, curve,
     ("abs": centre is monotone there), so the ends read are the tightest.
     """
     def blocks():
-        for ends, counts in piece_blocks(pos, lo, hi):
-            step = counts if cum is None else step_values(cum, counts)
+        for ends, step in pieces(steps, lo, hi):
             if side == "abs":
                 centre, width = curve(ends)
                 dev = np.abs(np.subtract(step[:, None], centre)).ravel()

@@ -296,6 +296,15 @@ def bound_sweep_reference(check: str, hi: int, ceiling: float = 2.0,
         holds = all(margin(x) <= 1e-12 if x < 4
                     else margin(x) > math.log(2) - 1e-9
                     for x in range(lo, hi + 1))
+    elif check == "lambda-mertens-gap":
+        # the higher powers alone: sum Lambda(m)/m - sum (log p)/p >= 0
+        higher = powers.keys() - set(primes)
+        gap = fsum_prefix({m: powers[m] / m for m in higher}, hi)
+        lo, floor = 2, 0.0
+        holds = min(gap[2:]) >= 0.0
+
+        def margin(x):
+            return ceiling - gap[x]
     else:
         raise ValueError(f"no reference for {check}")
     worst = min(range(lo, hi + 1), key=margin)

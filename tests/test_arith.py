@@ -295,14 +295,14 @@ def test_identity_sweeps_fail_without_the_d_equals_1_term(table_1e4,
 def test_psi_theta_dominance_needs_the_break_at_4(table_1e4, monkeypatch):
     # without 4 among the prime powers psi = theta until 8: psi >= theta
     # still holds, so only the break-at-4 clause can fail the check
-    real = A.prime_power_terms
+    real = A.higher_powers
 
     def without_4(table, x):
-        ms, logs = real(table, x)
-        keep = ms != 4
-        return ms[keep], logs[keep]
+        powers, bases = real(table, x)
+        keep = powers != 4
+        return powers[keep], bases[keep]
 
-    monkeypatch.setattr(A, "prime_power_terms", without_4)
+    monkeypatch.setattr(A, "higher_powers", without_4)
     out = A.psi_theta_dominance_sweep(table_1e4, 1000)
     assert not out.passed
     assert out.worst_witness.margin == 0.0

@@ -192,15 +192,14 @@ def test_route_agreement(table_1e6):
 
 
 def test_lambda_mertens_gap_fails_on_negative_gap(table_1e4, monkeypatch):
-    # a negative weight at 4 pulls the gap below 0 while it stays far under
-    # the ceiling: only the gap >= 0 clause can fail the check
-    real = P.prime_power_terms
+    # a negative term at 4, the first jump, pulls the gap below 0 while it
+    # stays far under the ceiling: only the gap >= 0 clause can fail
+    real = P.compensated_cumsum
 
-    def planted(table, x):
-        ms, logs = real(table, x)
-        return ms, np.where(ms == 4, -4.0, logs)
+    def planted(terms):
+        return real(np.where(np.arange(terms.size) == 0, -1.0, terms))
 
-    monkeypatch.setattr(P, "prime_power_terms", planted)
+    monkeypatch.setattr(P, "compensated_cumsum", planted)
     out = P.lambda_mertens_gap_sweep(table_1e4, 1000)
     assert not out.passed
     assert out.worst_witness.margin > 0.0

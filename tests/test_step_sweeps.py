@@ -26,6 +26,9 @@ CHECKS = [
     ("lambda-sum-bound", {}, lambda t, hi: P.lambda_sum_bound_sweep(t, hi)),
     ("lambda-sum-bound", {"ceiling": 0.5},
      lambda t, hi: P.lambda_sum_bound_sweep(t, hi, 0.5)),
+    ("lambda-mertens-gap", {}, lambda t, hi: P.lambda_mertens_gap_sweep(t, hi)),
+    ("lambda-mertens-gap", {"ceiling": 0.5},
+     lambda t, hi: P.lambda_mertens_gap_sweep(t, hi, 0.5)),
     ("mertens1-bound", {}, lambda t, hi: B.check_mertens_bound(t, hi)),
     ("mertens1-bound", {"ceiling": 1.0},
      lambda t, hi: B.check_mertens_bound(t, hi, 1.0)),
@@ -51,10 +54,12 @@ CHECKS = [
 ]
 
 
+CHECK_IDS = [c + "".join(f"-{k}={v}" for k, v in p.items())
+             for c, p, _ in CHECKS]
+
+
 @pytest.mark.parametrize("hi", [10, 1000, 20000])
-@pytest.mark.parametrize("check,params,run", CHECKS,
-                         ids=[c + "".join(f"-{k}={v}" for k, v in p.items())
-                              for c, p, _ in CHECKS])
+@pytest.mark.parametrize("check,params,run", CHECKS, ids=CHECK_IDS)
 def test_sweep_matches_brute_force(table_1e5, monkeypatch, hi, check, params,
                                    run):
     if check == "psi-dyadic":
@@ -72,31 +77,54 @@ def test_failing_constants_fail(table_1e5):
     assert not B.check_psi_linear(table_1e5, 20000, 0.1, 0.9).passed
 
 
+def piece_ends(jumps, lo, hi):
+    """The reader's pieces of the jump count, as one (m, 2) array of
+    ends and the count on each piece."""
+    return S.joined(S.pieces([(jumps, np.arange(1, jumps.size + 1))], lo, hi))
+
+
 def test_piece_ends_no_jump_inside():
-    ends, counts = S.piece_ends(np.array([2, 3, 5, 7]), 8, 10)
+    ends, counts = piece_ends(np.array([2, 3, 5, 7]), 8, 10)
     assert ends.tolist() == [[8, 10]] and counts.tolist() == [4]
-    ends, counts = S.piece_ends(np.array([], dtype=np.int64), 1, 5)
+    ends, counts = piece_ends(np.array([], dtype=np.int64), 1, 5)
     assert ends.tolist() == [[1, 5]] and counts.tolist() == [0]
 
 
 def test_piece_ends_on_jumps():
-    ends, counts = S.piece_ends(np.array([2, 3, 5, 7]), 5, 7)
+    ends, counts = piece_ends(np.array([2, 3, 5, 7]), 5, 7)
     assert ends.tolist() == [[5, 6], [7, 7]]
     assert counts.tolist() == [3, 4]
 
 
 def test_piece_ends_adjacent_jumps():
     # pieces [1, 1], [2, 2], [3, 7], [8, 8], [9, 10]
-    ends, counts = S.piece_ends(np.array([2, 3, 8, 9]), 1, 10)
+    ends, counts = piece_ends(np.array([2, 3, 8, 9]), 1, 10)
     assert ends.tolist() == [[1, 1], [2, 2], [3, 7], [8, 8], [9, 10]]
     assert ends.ravel().tolist() == sorted(ends.ravel().tolist())
     assert counts.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_step_values_zero_before_first_jump():
-    cum = np.array([0.5, 0.75])
-    assert S.step_values(cum, np.array([0, 1, 2])).tolist() == \
-        [0.0, 0.5, 0.75]
+    # the value on a piece is the prefix after its last jump, 0 before any
+    steps = [(np.array([2, 3, 8, 9]), np.array([0.5, 1.5, 4.0, 8.5]))]
+    ends, values = S.joined(S.pieces(steps, 1, 10))
+    assert values.dtype == np.float64
+    assert values.tolist() == [0.0, 0.5, 1.5, 4.0, 8.5]
+    ends, values = S.joined(S.pieces(steps[:1], 8, 8))
+    assert ends.tolist() == [[8, 8]] and values.tolist() == [4.0]
+    ends, values = S.joined(S.pieces([(np.array([7]), np.array([1.0]))], 1, 5))
+    assert ends.tolist() == [[1, 5]] and values.tolist() == [0.0]
+
+
+def test_pieces_stop_reading_past_hi():
+    # the block after the first jump past hi is never asked for
+    def steps():
+        yield np.array([2, 3]), np.array([1, 2])
+        yield np.array([5, 11]), np.array([3, 4])
+        raise AssertionError("read past hi")
+    ends, counts = S.joined(S.pieces(steps(), 1, 10))
+    assert ends.tolist() == [[1, 1], [2, 2], [3, 4], [5, 10]]
+    assert counts.tolist() == [0, 1, 2, 3]
 
 
 @settings(max_examples=100, deadline=None)
@@ -107,12 +135,13 @@ def test_piece_ends_cover_every_integer(jump_set, lo, width):
     jumps = np.array(sorted(jump_set), dtype=np.int64)
     cum = np.cumsum(1.0 / (jumps + 1.0))
     hi = lo + width
-    ends, counts = S.piece_ends(jumps, lo, hi)
+    ends, counts = piece_ends(jumps, lo, hi)
+    _, values = S.joined(S.pieces([(jumps, cum)], lo, hi))
     every = np.arange(lo, hi + 1)
-    dense = S.step_values(cum, np.searchsorted(jumps, every, side="right"))
+    dense = np.r_[0.0, cum][np.searchsorted(jumps, every, side="right")]
     assert np.array_equal(np.repeat(counts, 2),
                           np.searchsorted(jumps, ends.ravel(), side="right"))
-    gap = np.abs(S.step_values(cum, counts)[:, None] - np.log(ends))
+    gap = np.abs(values[:, None] - np.log(ends))
     assert gap.max() == np.abs(dense - np.log(every)).max()
 
 
@@ -125,7 +154,7 @@ def test_piece_ends_cover_every_integer(jump_set, lo, width):
 def test_piece_ends_interleave_matches_sort(jump_set, lo, width):
     # the pairs, raveled, are the sorted points; each count covers both
     jumps = np.array(sorted(jump_set), dtype=np.int64)
-    ends, counts = S.piece_ends(jumps, lo, lo + width)
+    ends, counts = piece_ends(jumps, lo, lo + width)
     ref_ns, ref_counts = piece_ends_sorted(jumps, lo, lo + width)
     assert ends.shape == (counts.size, 2)
     assert ends.dtype == ref_ns.dtype and counts.dtype == ref_counts.dtype
@@ -135,35 +164,41 @@ def test_piece_ends_interleave_matches_sort(jump_set, lo, width):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sets(st.integers(-3, 40), max_size=25), st.integers(-3, 40),
-       st.integers(0, 40), st.integers(1, 6))
-@example({2, 3, 5, 7}, 1, 9, 1)
-@example({2, 3, 5, 7}, 1, 9, 5)
+       st.integers(0, 40), st.integers(1, 6), st.integers(1, 6))
+@example({2, 3, 5, 7}, 1, 9, 1, 6)
+@example({2, 3, 5, 7}, 1, 9, 5, 2)
 def test_piece_blocks_concatenate_to_the_sorted_ends(jump_set, lo, width,
-                                                     block):
-    # blocks of at most BLOCK pieces, together the pairs of piece_ends
+                                                     block, chunk):
+    # a stream in blocks of ``chunk`` jumps, read BLOCK jumps at a time,
+    # yields blocks of at most BLOCK pieces: together the sorted ends
     jumps = np.array(sorted(jump_set), dtype=np.int64)
+    counts = np.arange(1, jumps.size + 1)
+    steps = [(jumps[i:i + chunk], counts[i:i + chunk])
+             for i in range(0, jumps.size, chunk)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(S, "BLOCK", block)
-        blocks = list(S.piece_blocks(jumps, lo, lo + width))
+        blocks = list(S.pieces(steps, lo, lo + width))
     assert all(0 < ends.shape[0] == counts.size <= block
                for ends, counts in blocks)
-    ends = np.concatenate([ends for ends, _ in blocks])
-    counts = np.concatenate([counts for _, counts in blocks])
+    ends, counts = S.joined(blocks)
     ref_ns, ref_counts = piece_ends_sorted(jumps, lo, lo + width)
     assert np.array_equal(ends.ravel(), ref_ns)
     assert np.array_equal(np.repeat(counts, 2), ref_counts)
 
 
-@pytest.mark.parametrize("jumps", [[2, 3, 3, 5], [2, 5, 5], [7, 5, 3],
-                                   [2, 9, 4, 11]])
+@pytest.mark.parametrize("jumps", [[[2, 3, 3, 5]], [[2, 5, 5]], [[7, 5, 3]],
+                                   [[2, 9, 4, 11]], [[2, 3], [3, 5]],
+                                   [[2, 6], [4, 7]]])
 def test_piece_ends_rejects_repeated_or_descending_jumps(jumps):
+    # within a block or across two
+    steps = [(np.array(q, dtype=np.int64), np.ones(len(q))) for q in jumps]
     with pytest.raises(DomainError):
-        S.piece_ends(np.array(jumps, dtype=np.int64), 1, 10)
+        list(S.pieces(steps, 1, 10))
 
 
 def test_piece_ends_rejects_empty_range():
     with pytest.raises(DomainError):
-        S.piece_ends(np.array([2, 3], dtype=np.int64), 5, 4)
+        list(S.pieces([(np.array([2, 3], dtype=np.int64), np.ones(2))], 5, 4))
 
 
 # step_law: one piece [5, 9] with step 10 (one jump at 5) against a
@@ -176,8 +211,8 @@ def test_piece_ends_rejects_empty_range():
 ])
 def test_step_law_fails_at_the_tight_end_only(side, cum, curve, witness):
     # a law that read the other end of the piece would pass here
-    pos = np.array([5], dtype=np.int64)
-    out = S.step_law("planted", pos, np.array(cum), 5, 9, curve, side)
+    steps = [(np.array([5], dtype=np.int64), np.array(cum))]
+    out = S.step_law("planted", steps, 5, 9, curve, side)
     assert (out.passed, out.range, out.worst_witness) == (False, (5, 9),
                                                          witness)
 
@@ -187,17 +222,30 @@ LAWS = [("upper", lambda x: 0.95 * x + 10.0, -1e-9),
         ("abs", lambda e: (1.0 * e, 20.0), 0.0)]
 
 
+def _rechunked(steps, size):
+    """The stream ``steps`` again, in blocks of ``size`` jumps."""
+    jumps, prefix = S.joined(steps)
+    return [(jumps[i:i + size], prefix[i:i + size])
+            for i in range(0, jumps.size, size)]
+
+
 @pytest.mark.parametrize("side,curve,floor", LAWS)
 def test_step_law_is_the_same_at_any_block(table_1e4, monkeypatch, side,
                                            curve, floor):
-    # theta against curves near x, each broken inside the range
+    # theta against curves near x, each broken inside the range: the
+    # stream in one block, re-chunked, or read BLOCK jumps at a time
     ps = table_1e4.primes_upto(2999)
     theta = S.compensated_cumsum(np.log(ps.astype(np.float64)))
-    whole = S.step_law("theta", ps, theta, 2, 2999, curve, side, floor)
+    whole = S.step_law("theta", [(ps, theta)], 2, 2999, curve, side, floor)
+    assert not whole.passed
+    for size in (1, 2, 3):
+        steps = _rechunked(A.prime_steps(table_1e4, 2999, A.log_base), size)
+        assert S.step_law("theta", steps, 2, 2999, curve, side,
+                          floor) == whole
     for block in (1, 2, 3):
         monkeypatch.setattr(S, "BLOCK", block)
-        assert S.step_law("theta", ps, theta, 2, 2999, curve, side,
-                          floor) == whole
+        assert S.step_law("theta", A.prime_steps(table_1e4, 2999, A.log_base),
+                          2, 2999, curve, side, floor) == whole
 
 
 @pytest.mark.parametrize("side,curve", [
@@ -205,8 +253,32 @@ def test_step_law_is_the_same_at_any_block(table_1e4, monkeypatch, side,
     ("lower", lambda x: 0.9 * x / np.log(x + 1.0)),
     ("abs", lambda e: (e / np.log(e + 1.0), 4.0))])
 def test_step_law_without_prefix_counts_the_jumps(table_1e4, side, curve):
-    # cum=None reads the jump count: the prefix sums 1, 2, ..., n
+    # weight None streams the int64 count: the prefix sums 1, 2, ..., n
     ps = table_1e4.primes
-    prefix = np.arange(1, ps.size + 1)
-    assert S.step_law("pi", ps, None, 3, 10 ** 4, curve, side) == \
-        S.step_law("pi", ps, prefix, 3, 10 ** 4, curve, side)
+    steps = list(A.prime_steps(table_1e4, 10 ** 4, None))
+    assert all(counts.dtype == np.int64 for _, counts in steps)
+    assert S.step_law("pi", steps, 3, 10 ** 4, curve, side) == \
+        S.step_law("pi", [(ps, np.arange(1, ps.size + 1))], 3, 10 ** 4, curve,
+                   side)
+
+
+# one higher power left out of the merge, and a check it feeds that the
+# brute force then tells apart (at 4: psi = theta until 8)
+@pytest.mark.parametrize("drop,check_id", [
+    (4, "psi-theta-dominance"), (4, "psi-linear-c1=0.1-c2=0.9"),
+    (9, "psi-linear-c1=0.9"), (49, "lambda-sum-bound")])
+def test_a_dropped_higher_power_fails_the_brute_force(table_1e5, monkeypatch,
+                                                      drop, check_id):
+    real = A.higher_powers
+
+    def without(table, x):
+        powers, bases = real(table, x)
+        keep = powers != drop
+        return powers[keep], bases[keep]
+
+    monkeypatch.setattr(A, "higher_powers", without)
+    check, params, run = CHECKS[CHECK_IDS.index(check_id)]
+    hi = 10 if check_id == "psi-linear-c1=0.1-c2=0.9" else 1000
+    out = run(table_1e5, hi)
+    assert (out.passed, out.worst_witness.input) != \
+        bound_sweep_reference(check, hi, **params)

@@ -7,12 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mertenslab import summation as S
-from mertenslab.arith import (_log_powers, log_factorial_blocks,
-                              log_factorial_table, mobius_values)
+from mertenslab.arith import (_log_powers, log_base, log_factorial_blocks,
+                              log_factorial_table, mobius_values,
+                              prime_power_terms, prime_steps)
 from mertenslab.summation import (CUMSUM_BLOCK, FSUM_CROSSOVER, FSUM_SLICE,
-                                  _jump_cumulative, _multiples,
-                                  compensated_cumsum, cumsum_blocks,
-                                  dirichlet, fsum, running_sums)
+                                  _multiples, compensated_cumsum,
+                                  cumsum_blocks, dirichlet, fsum, joined,
+                                  running_sums)
 
 from oracles import (compensated_cumsum_loop, dirichlet_brute,
                      running_sum_loop)
@@ -287,15 +288,82 @@ def test_log_factorial_blocks_match_one_prefix_pass(monkeypatch, block):
     assert log_factorial_table(0).tolist() == [0.0]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(-5, 60), _SPARSE), max_size=50))
-@example([(4, 1.0), (8, 2.0), (9, 3.0), (2, 4.0), (8, 5.0), (3, 6.0)])
-def test_jump_cumulative_is_the_stable_sort(pairs):
-    # ties and any order: a leading run merged with the sorted rest
-    positions = np.array([q for q, _ in pairs], dtype=np.int64)
-    terms = np.array([t for _, t in pairs], dtype=np.float64)
-    order = np.argsort(positions, kind="stable")
-    pos, cum = _jump_cumulative(positions, terms)
-    assert pos.tolist() == positions[order].tolist()
-    assert _bits(cum.tolist()) == _bits(
-        compensated_cumsum_loop(terms[order]).tolist())
+def test_log_of_a_slice_is_the_slice_of_the_log():
+    # prime_steps takes np.log of each block's base primes and relies on
+    # getting the bits np.log gives the whole array, whatever the offset
+    # of the slice: SIMD bodies and tails must agree
+    rng = np.random.default_rng(4099)
+    values = np.concatenate((np.arange(2.0, 5000.0),
+                             np.exp(rng.uniform(0.0, 40.0, 5 * 4099))))
+    whole = np.log(values)
+    for offset in (0, 1, 3, 7):
+        for lo in range(offset, values.size, 4099):
+            got = np.log(values[lo:lo + 4099])
+            assert got.tobytes() == whole[lo:lo + 4099].tobytes(), (offset, lo)
+
+
+def _lambda_over_m(m, p):
+    return np.log(p.astype(np.float64)) / m
+
+
+# weight, and its terms from prime_power_terms' (ms, logs)
+WEIGHTS = [(log_base, lambda ms, logs: logs),
+           (_lambda_over_m, lambda ms, logs: logs / ms)]
+
+
+def _check_stream(table, x, powers, min_block):
+    """prime_steps against compensated_cumsum_loop of the stable-sorted
+    prime_power_terms (the primes alone without ``powers``), bit for
+    bit, for each weight and for the count."""
+    ms, logs = prime_power_terms(table, x)
+    if not powers:
+        ms, logs = table.primes_upto(x), logs[:table.primes_upto(x).size]
+    order = np.argsort(ms, kind="stable")
+    for weight, terms in WEIGHTS:
+        steps = list(prime_steps(table, x, weight, powers))
+        jumps, prefix = joined(steps) if steps else (ms[:0], logs[:0])
+        assert jumps.tolist() == ms[order].tolist()
+        assert _bits(prefix.tolist()) == _bits(compensated_cumsum_loop(
+            terms(ms, logs)[order], min_block).tolist())
+        assert _bits(prefix.tolist()) == _bits(
+            compensated_cumsum(terms(ms, logs)[order]).tolist())
+    counted = list(prime_steps(table, x, None, powers))
+    jumps, counts = joined(counted) if counted else (ms[:0], ms[:0])
+    assert jumps.tolist() == ms[order].tolist()
+    assert counts.dtype == np.int64
+    assert counts.tolist() == list(range(1, ms.size + 1))
+
+
+@pytest.mark.parametrize("min_block", [CUMSUM_BLOCK, 4])
+@pytest.mark.parametrize("powers", [True, False])
+@pytest.mark.parametrize("count", [4095, 4096, 4097, 32767, 32768, 32769])
+def test_prime_steps_at_block_edges(table_1e6, monkeypatch, count, powers,
+                                    min_block):
+    # x = the count-th term, so that the stream holds count terms: at the
+    # edges of an anchor block and of BLOCK; an anchor step of 4 makes it
+    # max(4, ceil(n / 2048)), which only the exact n gives
+    monkeypatch.setattr(S, "CUMSUM_BLOCK", min_block)
+    ms = prime_power_terms(table_1e6, 10 ** 6)[0] if powers else \
+        table_1e6.primes
+    x = int(np.sort(ms)[count - 1])
+    _check_stream(table_1e6, x, powers, min_block)
+
+
+@pytest.mark.parametrize("powers", [True, False])
+@pytest.mark.parametrize("x", [2, 3, 4, 5, 8, 9, 25, 27, 121, 125, 343,
+                               912673, 994009])
+def test_prime_steps_at_prime_squares_and_cubes(table_1e6, x, powers):
+    _check_stream(table_1e6, x, powers, CUMSUM_BLOCK)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3000), st.integers(1, 9))
+@example(4, 1)
+@example(2048, 3)
+def test_prime_steps_are_the_stable_sort(table_1e4, x, block):
+    # merge windows that start, end or split at higher powers: anchor
+    # steps of 4 and spans of BLOCK or the step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(S, "CUMSUM_BLOCK", 4)
+        mp.setattr(S, "BLOCK", block)
+        _check_stream(table_1e4, x, True, 4)
