@@ -1,10 +1,11 @@
 """The classical arithmetic functions over a sieve table.
 
-Point evaluations of the von Mangoldt function, the Chebyshev
-functions, pi(x) and the generalized von Mangoldt divisor sums, plus
-the tables and vectorized sweeps the verification suites run over
-exhaustive ranges: Moebius values, log-factorials, Legendre's
-valuations and the Selberg identity.
+Point evaluations of the von Mangoldt function, the Chebyshev functions,
+pi(x) and the generalized von Mangoldt divisor sums, plus the tables and
+vectorized sweeps the verification suites run over exhaustive ranges:
+Moebius values, log-factorials, Legendre's valuations and the Selberg
+identity. Point prime sums (prime_parts, prime_sum) and prime step
+functions (prime_steps) read the primes a block at a time.
 """
 
 import dataclasses
@@ -16,8 +17,10 @@ from .errors import DomainError
 from .outcomes import (VerificationOutcome, exact_case, worst_case,
                        worst_case_blocks)
 from .sieve import SieveTable, divide_out, factor_exponents, factorize
-from .summation import (_multiples, compensated_cumsum, cumsum_blocks,
-                         dirichlet, fsum, int_blocks, joined, pieces)
+from . import summation
+from .summation import (_multiples, _parts, compensated_cumsum,
+                        cumsum_blocks, dirichlet, fsum, int_blocks, joined,
+                        pieces)
 
 PSI_THETA_TOL = 1e-12
 
@@ -54,8 +57,6 @@ def prime_power_terms(table: SieveTable, x: int):
     higher powers as higher_powers lists them. log p reuses the k = 1
     value so a power and its base carry bit-identical weights.
     """
-    if x < 2:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
     ps = table.primes_upto(x)
     base_logs = np.log(ps.astype(np.float64))
     powers, bases = higher_powers(table, x)
@@ -86,7 +87,8 @@ def prime_steps(table: SieveTable, x: int, weight, powers: bool = False):
     def merged(lo, hi):
         a, b = np.searchsorted(at, [lo, hi]).tolist()
         into, prime, q = below[a:b] - (lo - a), ps[lo - a:hi - b], hp[a:b]
-        block[:] = (np.insert(prime, into, v) for v in (q, table.spf[q]))
+        block[:] = ((np.insert(prime, into, v) if b > a else prime)
+                    for v in ((q, table.spf[q]) if weight else (q,)))
         return block
 
     n = ps.size + hp.size
@@ -98,17 +100,51 @@ def prime_steps(table: SieveTable, x: int, weight, powers: bool = False):
         yield block[0], prefix
 
 
+def prime_parts(table: SieveTable, x: int, weight, powers: bool = False,
+                above: int = 0) -> np.ndarray:
+    """Float64 values with the exact sum of weight(m, p) over the primes
+    m = p in (above, x], and with ``powers`` over the higher powers p^k <= x
+    too, which ``above`` leaves in. weight maps a block's float64 m and p,
+    new arrays it may overwrite (one array unless the block holds higher
+    powers), to its terms. A block is summation.BLOCK primes; each but the
+    last gives its exact _parts, and the last, which the higher powers
+    join, its terms."""
+    ps = table.primes_upto(x)
+    if above:
+        ps = ps[ps.searchsorted(above, side="right"):]
+    if powers:
+        hp, bases = higher_powers(table, x)
+        hb = table.primes[bases]
+    step, parts = summation.BLOCK, []
+    for lo in range(0, max(ps.size, 1), step):  # the last may be empty
+        block, last = ps[lo:lo + step], lo + step >= ps.size
+        if powers and last:
+            m, p = (np.concatenate((block, q), dtype=np.float64)
+                    for q in (hp, hb))
+        else:
+            m = p = block.astype(np.float64)
+        terms = weight(m, p)
+        if not last:
+            parts += _parts(terms)
+    return np.append(terms, parts) if parts else terms
+
+
+def prime_sum(table: SieveTable, x: int, weight, powers: bool = False,
+              above: int = 0) -> float:
+    """The exactly rounded sum of prime_parts(table, x, weight, ...)."""
+    return fsum(prime_parts(table, x, weight, powers, above))
+
+
 def chebyshev_psi(table: SieveTable, x: int) -> float:
     """Cumulative Lambda mass up to x (0 below 2)."""
     table.check_range(x, lo=0)
-    _, logs = prime_power_terms(table, x)
-    return fsum(logs)
+    return prime_sum(table, x, lambda m, p: np.log(p, out=p), True)
 
 
 def theta_log_primorial(table: SieveTable, k: int) -> float:
     """log of the primorial: sum of log p over primes p <= k."""
     table.check_range(k, lo=0)
-    return fsum(np.log(table.primes_upto(k).astype(np.float64)))
+    return prime_sum(table, k, lambda m, p: np.log(p, out=p))
 
 
 def prime_count(table: SieveTable, x: int) -> int:

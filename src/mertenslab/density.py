@@ -1,14 +1,14 @@
 """Integers whose largest prime factor exceeds their square root.
 
-Two independent counting routes: a census of the largest prime factor
-of every n <= x, read off each n's SPF chain, and the pair count
-G(x) = sum over primes of min(p-1, floor(x/p)). They share no code, and
-the bijection between them is exact, so the suites compare integer
-against integer through outcomes.exact_case. All square-root threshold
-comparisons are done in integer arithmetic (p*p vs n in int64, or
-P > n // P) so perfect squares can never be misclassified. The census
-walks the largest factors up to x once, keeping them below x/2 (20 MB
-at 1e7), and one walk gives it at every x a sweep asks for.
+Two independent counting routes: a census of the largest prime factor of
+every n <= x, read off each n's SPF chain, and the pair count G(x) = sum
+over primes of min(p-1, floor(x/p)), by quotient groups. They share no
+code, and the bijection between them is exact, so the suites compare
+integer against integer through outcomes.exact_case. All square-root
+threshold comparisons are done in integer arithmetic (p*p vs n in int64,
+or P > n // P) so perfect squares can never be misclassified. The census
+walks the largest factors up to x once, keeping them below x/2 (20 MB at
+1e7), and one walk gives it at every x a sweep asks for.
 """
 
 import dataclasses
@@ -18,9 +18,10 @@ import numpy as np
 
 from .errors import DomainError
 from .outcomes import VerificationOutcome, Witness, exact_case, worst_case
+from .arith import prime_sum
 from .partial_sums import LOG2, ResidualReport, ResidualRow, _validate_xs
 from .sieve import LPF_CHUNK, SieveTable, largest_factor_walk
-from .summation import _multiples, fsum, joined, pieces
+from .summation import _multiples, joined, pieces
 
 
 def census_counts(table: SieveTable, xs) -> np.ndarray:
@@ -58,10 +59,14 @@ def census_oracle(table: SieveTable, x: int) -> int:
 
 
 def g_count(table: SieveTable, x: int) -> int:
-    """Pairs (p, q) with q < p <= x/q: sum of min(p-1, floor(x/p))."""
+    """Pairs (p, q) with q < p <= x/q: sum of min(p-1, floor(x/p)). With
+    r = isqrt(x), p <= r adds p - 1; the pi(x // k) - pi(max(x // (k+1), r))
+    primes above r add k = x // p each, sum_{k <= r} pi(x // k) - r pi(r)."""
     table.check_range(x)
-    ps = table.primes_upto(x)
-    return int(np.minimum(ps - 1, x // ps).sum())
+    r = math.isqrt(x)
+    small = table.primes_upto(r)
+    counts = table.primes.searchsorted(x // np.arange(1, r + 1), "right")
+    return int(small.sum() + counts.sum()) - (r + 1) * small.size
 
 
 def split_point(x: int) -> float:
@@ -90,8 +95,8 @@ def rough_tail_sum(table: SieveTable, n: int) -> float:
     if n < 4:
         raise DomainError(f"tail sum needs n >= 4, got {n}")
     table.check_range(n)
-    lo = table.primes_upto(math.isqrt(n)).size
-    return fsum(1.0 / table.primes_upto(n)[lo:].astype(np.float64))
+    return prime_sum(table, n, lambda m, p: np.divide(1.0, p, out=p),
+                     above=math.isqrt(n))
 
 
 def density_series(table: SieveTable, xs: list[int],

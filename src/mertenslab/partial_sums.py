@@ -1,10 +1,9 @@
 """Prime partial sums, their asymptotic residuals, and Abel summation.
 
-The three central sums (Lambda(m)/m, log p/p, 1/p) are evaluated with
-exactly rounded accumulation; the residual report compares S(x) against
-loglog x + M at caller-chosen sample points. The limit constant is
-estimated by two independent routes that must agree; both verify and
-constants read that agreement from meissel_mertens_agreement.
+The three central sums (Lambda(m)/m, log p/p, 1/p) are each one exactly
+rounded arith.prime_sum in O(BLOCK) memory; the residual report compares
+S(x) against loglog x + M at caller-chosen points. The limit constant is
+estimated by two routes that must agree, read by meissel_mertens_agreement.
 
 The exhaustive sweeps read each sum from arith.prime_steps and hold it
 within a constant of log x at every integer through summation.step_law;
@@ -16,12 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arith import higher_powers, log_base, prime_power_terms, prime_steps
+from .arith import (higher_powers, log_base, prime_parts, prime_steps,
+                    prime_sum)
 from .errors import DomainError
 from .outcomes import VerificationOutcome, worst_case
 from .sieve import SieveTable
-from . import summation
-from .summation import _parts, compensated_cumsum, fsum, running_sums, step_law
+from .summation import compensated_cumsum, fsum, running_sums, step_law
 
 EULER_GAMMA = 0.57721566490153286060
 MEISSEL_MERTENS_REFERENCE = 0.2614972128
@@ -61,22 +60,20 @@ class ConstantEstimate:
 def sum_lambda_over_n(table: SieveTable, x: int) -> float:
     """Sum of Lambda(m)/m over m <= x; tracks log x within O(1)."""
     table.check_range(x)
-    ms, logs = prime_power_terms(table, x)
-    return fsum(logs / ms.astype(np.float64))
+    return prime_sum(table, x, lambda m, p: np.divide(np.log(p), m, out=m),
+                     True)
 
 
 def mertens_first_sum(table: SieveTable, x: int) -> float:
     """Sum of (log p)/p over primes p <= x; tracks log x within 2."""
     table.check_range(x)
-    ps = table.primes_upto(x).astype(np.float64)
-    return fsum(np.log(ps) / ps)
+    return prime_sum(table, x, lambda m, p: np.divide(np.log(p), p, out=p))
 
 
 def reciprocal_prime_sum(table: SieveTable, x: int) -> float:
     """S(x): sum of 1/p over primes p <= x."""
     table.check_range(x)
-    ps = table.primes_upto(x).astype(np.float64)
-    return fsum(np.divide(1.0, ps, out=ps))
+    return prime_sum(table, x, lambda m, p: np.divide(1.0, p, out=p))
 
 
 def abel_summation(weights, f, f_prime, lower: float, upper: float) -> float:
@@ -168,19 +165,14 @@ def meissel_mertens_from_series(table: SieveTable,
     Each term is log1p(-1/p) + 1/p (the cancellation dominates the
     term's value); the dropped tail is below 1/(2p(p-1)) summed past the
     limit, hence the 1/prime_limit error bound. One fsum rounds gamma and
-    the exact parts of the terms, made summation.BLOCK primes at a time.
+    the exact parts of the terms, as arith.prime_parts makes them.
     """
     if prime_limit < 10 ** 3:
         raise DomainError(f"prime_limit must be >= 1000, got {prime_limit}")
     table.check_range(prime_limit)
-    ps = table.primes_upto(prime_limit)
-
-    def parts():
-        yield EULER_GAMMA
-        for lo in range(0, ps.size, summation.BLOCK):
-            p = ps[lo:lo + summation.BLOCK].astype(np.float64)
-            yield from _parts(np.log1p(-1.0 / p) + 1.0 / p)
-    value = fsum(parts())
+    value = fsum(np.append(prime_parts(
+        table, prime_limit, lambda m, p: np.log1p(-1.0 / p) + 1.0 / p),
+        EULER_GAMMA))
     return ConstantEstimate("meissel-mertens", value,
                             route="gamma-plus-prime-series",
                             error_bound=1.0 / prime_limit)
@@ -207,9 +199,8 @@ def log_zeta_truncation(table: SieveTable, s: float, n_max: int) -> float:
     if not s > 1:
         raise DomainError(f"series requires s > 1, got {s}")
     table.check_range(n_max)
-    ms, logs = prime_power_terms(table, n_max)
-    mf = ms.astype(np.float64)
-    return fsum(logs / (np.log(mf) * np.power(mf, s)))
+    return prime_sum(table, n_max, lambda m, p: np.log(p) / (
+        np.log(m) * np.power(m, s)), True)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ class SieveTable:
 
     def primes_upto(self, x: int) -> np.ndarray:
         """The primes <= x, ascending: a view of ``primes``, empty below 2."""
-        return self.primes[:int(np.searchsorted(self.primes, x, side="right"))]
+        return self.primes[:self.primes.searchsorted(x, side="right")]
 
     def check_range(self, n: int, lo: int = 2) -> None:
         if not lo <= n <= self.limit:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is trial division or direct enumeration: no sieve
-tables, no shared code paths with the package.
+tables, no shared code paths with the package. point_sum_reference
+alone reads a table's prime list, and sums it whole.
 """
 
 import math
@@ -394,3 +395,33 @@ def compensated_cumsum_loop(values, min_block: int = 4096) -> np.ndarray:
         out[start:start + chunk.size] = (np.cumsum(chunk)
                                          + math.fsum(partials[:k]))
     return out
+
+
+def point_sum_reference(table, func: str, x: int, s: float = 2.0):
+    """The nine point queries at x from the table's prime list, each as
+    one whole-array formula over every term at once, summed by
+    math.fsum: the prime powers come primes first, then each p's powers
+    p^k <= x, and every log p is np.log of the float primes."""
+    ps = table.primes[:int(np.searchsorted(table.primes, x, side="right"))]
+    if func == "prime_count":
+        return int(ps.size)
+    if func == "g_count":
+        return int(np.minimum(ps - 1, x // ps).sum())
+    pf = ps.astype(np.float64)
+    logs = np.log(pf)
+    roots = ps[ps <= math.isqrt(x)].tolist()
+    powers = [(p ** k, i) for i, p in enumerate(roots)
+              for k in range(2, x.bit_length()) if p ** k <= x]
+    ms = np.concatenate((pf, [float(m) for m, _ in powers]))
+    mlogs = np.concatenate((logs, logs[[i for _, i in powers]]))
+    terms = {
+        "sum_lambda_over_n": lambda: mlogs / ms,
+        "mertens_first_sum": lambda: logs / pf,
+        "reciprocal_prime_sum": lambda: 1.0 / pf,
+        "chebyshev_psi": lambda: mlogs,
+        "theta_log_primorial": lambda: logs,
+        "rough_tail_sum": lambda: 1.0 / pf[pf > math.isqrt(x)],
+        "log_zeta_truncation": lambda: mlogs / (np.log(ms)
+                                                * np.power(ms, s)),
+    }[func]()
+    return math.fsum(memoryview(terms))

@@ -120,6 +120,19 @@ def test_table_snapshot(capsys):
         outs.append(out)
     assert "".join(outs).encode() == (DATA / "table_small.txt").read_bytes()
 
+def test_table_snapshot_past_one_block(capsys):
+    # pi(1e6) = 78,498 primes span several blocks of summation.BLOCK;
+    # recorded before the point sums were read block by block
+    runs = [("--func", func) for func in cli.TABLE_FUNCTIONS]
+    runs += [("--func", "logzeta", "--s", "3")]
+    outs = []
+    for run in runs:
+        code, out, err = run_cli(capsys, "table", "--xs", "1000,99991,1000000",
+                                 *run)
+        assert (run, code, err) == (run, 0, "")
+        outs.append(out)
+    assert "".join(outs).encode() == (DATA / "table_1e6.txt").read_bytes()
+
 def test_verify_passes_and_writes_json(capsys, tmp_path):
     out_path = tmp_path / "verify.json"
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities",

@@ -13,13 +13,19 @@ the primes in the tail, peaked at 1.9 MB. Before the prime sums came
 as jump streams, each check built its prefix over the whole range:
 lambda-sum-bound peaked at 3.29 MB, mertens1-bound 2.02, psi-linear
 3.29, primorial-bound 1.39 and lambda-mertens-gap 1.90; streamed, they
-measure 0.61, 0.60, 0.45, 0.43 and 0.02.
+measure 0.61, 0.60, 0.45, 0.43 and 0.02. With S(x) at the table limit
+summed block by block, mm-route-agreement went 1.16 -> 0.17.
+
+The nine point queries at 1e6 read their sums in the same blocks:
+0.10-0.20 MB for the float sums and 0.02 for g_count. Summed over whole
+arrays they peaked at 1.16-3.15 MB.
 """
 
 import tracemalloc
 
 import pytest
 
+import mertenslab as ml
 from mertenslab import suites, summation
 
 CEILINGS_MB = {
@@ -36,7 +42,7 @@ CEILINGS_MB = {
     "log-factorial-dual-route": 13.0,
     "pair-bijection": 13.0,
     "abel-exactness": 11.0,
-    "mm-route-agreement": 1.4,
+    "mm-route-agreement": 0.3,
     "lambda-mertens-gap": 0.1,
 }
 
@@ -52,3 +58,22 @@ def test_check_peak_allocation(table_1e6, monkeypatch, name):
     finally:
         tracemalloc.stop()
     assert peak < CEILINGS_MB[name] * 1e6
+
+
+POINT_QUERIES = ("sum_lambda_over_n", "mertens_first_sum",
+                 "reciprocal_prime_sum", "chebyshev_psi",
+                 "theta_log_primorial", "prime_count", "g_count",
+                 "rough_tail_sum", "log_zeta_truncation")
+
+
+@pytest.mark.parametrize("func", POINT_QUERIES)
+def test_point_query_peak_allocation(table_1e6, monkeypatch, func):
+    monkeypatch.setattr(summation, "BLOCK", 4096, raising=False)
+    args = (2.0, 10 ** 6) if func == "log_zeta_truncation" else (10 ** 6,)
+    tracemalloc.start()
+    try:
+        getattr(ml, func)(table_1e6, *args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3e6
