@@ -30,7 +30,7 @@ def von_mangoldt(table: SieveTable, n: int) -> float:
     table.check_range(n, lo=1)
     if n == 1:
         return 0.0
-    p = int(table.spf[n])
+    p = table.spf.item(n) or n
     m = n
     while m % p == 0:
         m //= p
@@ -39,15 +39,24 @@ def von_mangoldt(table: SieveTable, n: int) -> float:
 
 def higher_powers(table: SieveTable, x: int):
     """The prime powers p^k <= x with k >= 2 (about 555 at 1e7), grouped
-    by p, both ascending, with the index of each p in table.primes."""
+    by p, both ascending, with the index of each p in table.primes. Only
+    the p <= cbrt(x) have a cube; the squares above are one array op."""
+    roots = table.primes_upto(math.isqrt(x))
     powers, bases = [], []
-    for i, p in enumerate(table.primes_upto(math.isqrt(x)).tolist()):
+    for i, p in enumerate(roots.tolist()):
         m = p * p
+        if m * p > x:
+            break
         while m <= x:
             powers.append(m)
             bases.append(i)
             m *= p
-    return np.array(powers, dtype=np.int64), np.array(bases, dtype=np.intp)
+    n, i = len(powers), len(bases) and bases[-1] + 1  # i primes: p^3 <= x
+    hp = np.empty(n + roots.size - i, dtype=np.int64)
+    hb = np.arange(i - n, roots.size, dtype=np.intp)
+    hp[:n], hb[:n] = powers, bases
+    np.square(roots[i:], out=hp[n:])
+    return hp, hb
 
 
 def prime_power_terms(table: SieveTable, x: int):

@@ -42,7 +42,7 @@ def census_counts(table: SieveTable, xs) -> np.ndarray:
     out = np.empty(xs.size, dtype=np.int64)
     total = 0
     for start, p in largest_factor_walk(table, int(want[-1]) + 1):
-        # P(n)^2 > n as P(n) > n // P(n), exact in the SPF dtype
+        # P(n)^2 > n as P(n) > n // P(n), exact in uint32
         flags = p > np.arange(start, start + p.size, dtype=p.dtype) // p
         i, j = np.searchsorted(want, [start, start + p.size]).tolist()
         if i < j:

@@ -2,7 +2,8 @@
 
 Every other module queries a SieveTable: the SPF array answers factor
 structure in O(log n) per integer, the prime list answers counting and
-enumeration, and primes_upto(x) is the one way to the primes <= x.
+enumeration, and primes_upto(x) is the one way to the primes <= x. The
+uint16 SPF array is 0 at a prime, whose least factor is itself.
 build_sieve(limit) is the one way to a table. Construction is segmented
 so cache behaviour stays flat at large limits, and each segment takes
 plain strided stores of the base primes, largest first, so no slot is
@@ -10,8 +11,7 @@ read back; the base primes, those up to sqrt(limit), are the prime list
 of a table built the same way at that smaller limit, and the finished
 table is immutable. Largest prime factors over a range come from one
 memoized walk over the SPF chains (largest_factor_walk), and the
-factorizations of a whole range from one vectorized walk down them
-(factor_exponents).
+factorizations of a range from one vectorized walk (factor_exponents).
 """
 
 import math
@@ -32,7 +32,7 @@ class SieveTable:
     """Immutable SPF table and prime list up to ``limit`` inclusive."""
 
     limit: int
-    spf: np.ndarray      # spf[n] = smallest prime factor of n, 0 for n < 2
+    spf: np.ndarray      # uint16: least prime factor of composite n, else 0
     primes: np.ndarray   # int64, ascending, all primes <= limit
 
     def __post_init__(self):
@@ -59,7 +59,7 @@ class Factorization:
 def estimate_table_bytes(limit: int) -> int:
     """Rough upper bound on the memory a table at ``limit`` occupies."""
     prime_estimate = int(1.3 * limit / max(math.log(limit), 1.0)) + 16
-    return 4 * (limit + 1) + 8 * prime_estimate
+    return 2 * (limit + 1) + 8 * prime_estimate
 
 
 def build_sieve(limit: int) -> SieveTable:
@@ -68,11 +68,13 @@ def build_sieve(limit: int) -> SieveTable:
     The result is bit-identical for any SEGMENT >= 2: segments cover
     disjoint ranges and base primes are stored largest-first with plain
     strided writes, so a composite's smallest prime factor p, which
-    reaches it since p * p <= n, writes its slot last. The base primes
-    are build_sieve(isqrt(limit)).primes, none below limit 4. A table
-    whose estimated size exceeds MEMORY_BUDGET raises ResourceError
-    before anything is allocated. That holds from limit 714,219,036 on,
-    far below 2^32, so every smallest prime factor fits the uint32 array.
+    reaches it since p * p <= n, writes its slot last, and a prime's
+    stays 0. The base primes are build_sieve(isqrt(limit)).primes, none
+    below limit 4. A second pass writes each segment's primes, counted
+    by the first, into the prime list in place. A table whose estimated
+    size exceeds MEMORY_BUDGET raises ResourceError before anything is
+    allocated: from limit 1,290,685,816 on, so every composite's least
+    factor is at most isqrt(1,290,685,815) = 35,926 < 2^16 (uint16).
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
@@ -85,25 +87,26 @@ def build_sieve(limit: int) -> SieveTable:
             f"(budget {MEMORY_BUDGET})",
             required_bytes=required, budget_bytes=MEMORY_BUDGET)
 
-    spf = np.zeros(limit + 1, dtype=np.uint32)
+    spf = np.zeros(limit + 1, dtype=np.uint16)
     root = math.isqrt(limit)
     base = (build_sieve(root).primes if root >= 2
             else np.empty(0, dtype=np.int64))
     base_list = base.tolist()
-    prime_chunks: list[np.ndarray] = []
-
-    for lo in range(2, limit + 1, SEGMENT):
+    segments, counts = range(2, limit + 1, SEGMENT), []
+    for lo in segments:
         hi = min(lo + SEGMENT, limit + 1)
         view = spf[lo:hi]
         reach = int(np.searchsorted(base, math.isqrt(hi - 1), side="right"))
         for p in reversed(base_list[:reach]):    # the p with p * p < hi
             view[max(p * p, -(-lo // p) * p) - lo:: p] = p
-        fresh = np.flatnonzero(view == 0).astype(np.int64) + lo
-        view[fresh - lo] = fresh
-        prime_chunks.append(fresh)
+        counts.append(view.size - np.count_nonzero(view))
 
-    return SieveTable(limit=limit, spf=spf,
-                      primes=np.concatenate(prime_chunks))
+    primes, at = np.empty(sum(counts), dtype=np.int64), 0
+    for lo, count in zip(segments, counts):
+        at += count
+        np.add(np.flatnonzero(spf[lo:lo + SEGMENT] == 0), lo,
+               out=primes[at - count:at])
+    return SieveTable(limit=limit, spf=spf, primes=primes)
 
 
 def factorize(table: SieveTable, n: int) -> Factorization:
@@ -113,7 +116,7 @@ def factorize(table: SieveTable, n: int) -> Factorization:
     factors: list[tuple[int, int]] = []
     spf = table.spf
     while m > 1:
-        p = spf.item(m)
+        p = spf.item(m) or m
         e = 0
         while m % p == 0:
             m //= p
@@ -152,6 +155,7 @@ def factor_exponents(table: SieveTable, n_max: int):
         m = k
         while k.size:
             p = spf[m].astype(np.int64)
+            np.copyto(p, m, where=p == 0)       # m is prime
             m, e = divide_out(m, p)
             rounds.append((k, p, e))
             rest = m > 1
@@ -168,44 +172,46 @@ def largest_prime_factor(table: SieveTable, n: int) -> int:
     p = 0
     spf = table.spf
     while m > 1:
-        p = spf.item(m)
+        p = spf.item(m) or m
         while m % p == 0:
             m //= p
     return p
 
 
 def largest_factor_walk(table: SieveTable, hi: int):
-    """Largest prime factor P(n) of every n in [2, hi), in the SPF dtype,
-    as (start, P) pairs for ascending chunks of at most LPF_CHUNK.
+    """Largest prime factor P(n) of every n in [2, hi), in uint32 (P
+    passes 2^16), as (start, P) pairs for chunks of at most LPF_CHUNK.
 
     Reads the recurrence P(n) = max(spf(n), P(n // spf(n))), P(1) = 0,
-    off each integer's own SPF chain. A chunk [start, stop) ends by
-    2 * start, so every cofactor n // spf(n) <= n / 2 < start is known
-    before its chunk runs. The memo keeps P only up to (hi - 1) // 2,
-    the largest cofactor; a chunk above it is a fresh array.
+    off each integer's SPF chain, a prime's spf being itself. A chunk
+    [start, stop) ends by 2 * start, so every cofactor n // spf(n) <= n/2
+    < start is known before its chunk runs. The memo keeps P only up to
+    (hi - 1) // 2, the largest cofactor; a chunk above it is a fresh array.
     """
-    spf = table.spf
-    memo = np.zeros((hi - 1) // 2 + 1, dtype=spf.dtype)
+    spf, primes = table.spf, table.primes
+    memo = np.zeros((hi - 1) // 2 + 1, dtype=np.uint32)
     start = 2
     while start < hi:
         stop = min(start + LPF_CHUNK, 2 * start,
                    memo.size if start < memo.size else hi)
-        p = spf[start:stop]
         out = (memo[start:stop] if stop <= memo.size
-               else np.empty(stop - start, dtype=spf.dtype))
-        # divided in the SPF dtype, gathered with intp (numpy converts a
-        # uint32 index array on every gather), and not held past the yield
-        np.maximum(p, memo[(np.arange(start, stop, dtype=p.dtype) // p)
-                           .astype(np.intp)], out=out)
+               else np.empty(stop - start, dtype=np.uint32))
+        out[:] = spf[start:stop]
+        i, j = primes.searchsorted([start, stop]).tolist()
+        out[primes[i:j] - start] = primes[i:j]
+        # divided in uint32, gathered with intp (numpy converts a uint32
+        # index array on every gather), and not held past the yield
+        np.maximum(out, memo[(np.arange(start, stop, dtype=np.uint32) // out)
+                             .astype(np.intp)], out=out)
         yield start, out
         start = stop
 
 
 def largest_factor_range(table: SieveTable, lo: int, hi: int) -> np.ndarray:
-    """Largest prime factor P(n) of every n in [lo, hi): the walk's
-    chunks in one array."""
+    """Largest prime factor P(n) of every n in [lo, hi), uint32: the
+    walk's chunks in one array."""
     if not 2 <= lo <= hi <= table.limit + 1:
         raise DomainError(
             f"range [{lo}, {hi}) outside [2, {table.limit + 1})")
     chunks = [p for _, p in largest_factor_walk(table, hi)]
-    return np.concatenate([table.spf[:0], *chunks])[lo - 2:]
+    return np.concatenate([np.empty(0, dtype=np.uint32), *chunks])[lo - 2:]

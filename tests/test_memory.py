@@ -19,6 +19,11 @@ summed block by block, mm-route-agreement went 1.16 -> 0.17.
 The nine point queries at 1e6 read their sums in the same blocks:
 0.10-0.20 MB for the float sums and 0.02 for g_count. Summed over whole
 arrays they peaked at 1.16-3.15 MB.
+
+build_sieve(1e6) in segments of 4096 allocates the table and 0.03 MB
+besides. When it kept each segment's primes and joined them at the end,
+with the primes also written back into the SPF array, it went 0.67 MB
+past the table.
 """
 
 import tracemalloc
@@ -26,7 +31,7 @@ import tracemalloc
 import pytest
 
 import mertenslab as ml
-from mertenslab import suites, summation
+from mertenslab import sieve, suites, summation
 
 CEILINGS_MB = {
     "lambda-sum-bound": 0.9,
@@ -77,3 +82,27 @@ def test_point_query_peak_allocation(table_1e6, monkeypatch, func):
     finally:
         tracemalloc.stop()
     assert peak < 0.3e6
+
+
+def test_sieve_build_peak_allocation(monkeypatch):
+    monkeypatch.setattr(sieve, "SEGMENT", 4096)
+    tracemalloc.start()
+    try:
+        table = sieve.build_sieve(10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - (table.spf.nbytes + table.primes.nbytes) < 0.1e6
+
+
+# pi(L) at each limit: 65,537 is the first prime past 2^16
+PRIME_COUNTS = {2: 1, 3: 2, 100: 25, 10 ** 4: 1229, 65_537: 6543,
+                10 ** 6: 78_498}
+
+
+@pytest.mark.parametrize("limit", sorted(PRIME_COUNTS))
+def test_table_bytes(limit):
+    table = sieve.build_sieve(limit)
+    size = table.spf.nbytes + table.primes.nbytes
+    assert size == 2 * (limit + 1) + 8 * PRIME_COUNTS[limit]
+    assert size <= sieve.estimate_table_bytes(limit)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mertenslab import sieve
+from mertenslab.arith import von_mangoldt
 from mertenslab.errors import DomainError, ResourceError
 from mertenslab.sieve import (
     MAX_LIMIT,
@@ -32,22 +33,27 @@ def test_build_sieve_examples():
                                    10 ** 4 + 1])
 def test_primes_and_spf_at_square_boundaries(limit):
     # the base primes come from the table at isqrt(limit), which gains a
-    # prime at limit p^2 and has none below limit 4
+    # prime at limit p^2 and has none below limit 4; a prime's slot is 0
     table = build_sieve(limit)
     assert table.primes.tolist() == trial_primes(limit)
-    assert table.spf.tolist() == [0, 0] + [trial_factorize(n)[0][0]
-                                           for n in range(2, limit + 1)]
+    assert table.spf.tolist() == [0, 0] + [
+        0 if len(f) == 1 and f[0][1] == 1 else f[0][0]
+        for f in map(trial_factorize, range(2, limit + 1))]
 
 
 def test_spf_invariants(table_1e4):
     spf = table_1e4.spf
-    for n in range(2, 10 ** 4 + 1):
+    assert spf.dtype == np.uint16 and spf[0] == spf[1] == 0
+    # spf[n] == 0 exactly at the primes
+    primes = set(table_1e4.primes.tolist())
+    assert primes == set(trial_primes(10 ** 4))
+    assert primes == {n for n in range(2, 10 ** 4 + 1) if spf[n] == 0}
+    # a composite's entry is its trial least factor p, with p * p <= n
+    for n in set(range(2, 10 ** 4 + 1)) - primes:
         p = int(spf[n])
         assert n % p == 0
         assert trial_factorize(n)[0][0] == p
-    # primes iff spf[n] == n
-    primes = set(table_1e4.primes.tolist())
-    assert primes == {n for n in range(2, 10 ** 4 + 1) if int(spf[n]) == n}
+        assert p * p <= n
     assert table_1e4.primes[0] == 2 and table_1e4.primes[1] == 3
 
 
@@ -137,7 +143,7 @@ def test_largest_factor_range(table_1e4):
     got = largest_factor_range(table_1e4, 2, 2000)
     expect = [trial_largest_factor(n) for n in range(2, 2000)]
     assert got.tolist() == expect
-    assert got.dtype == table_1e4.spf.dtype == np.uint32
+    assert got.dtype == np.uint32
 
 
 def test_largest_factor_range_across_chunk_ends(table_1e6):
@@ -152,6 +158,35 @@ def test_largest_factor_range_across_chunk_ends(table_1e6):
         got = largest_factor_range(table_1e6, lo, hi)
         expect = [largest_prime_factor(table_1e6, n) for n in range(lo, hi)]
         assert got.tolist() == expect
+
+
+def test_readers_against_trial_division(table_1e6):
+    # a prime reads 0 from the table, so every reader must take its factor
+    # as n itself; P(n) passes 2^16 here (999,983 is the largest prime).
+    # Every n within 3 of a sieve segment end, a walk chunk end, the
+    # largest prime or the limit.
+    table, limit = table_1e6, table_1e6.limit
+    ends = set(range(2 + sieve.SEGMENT, limit + 1, sieve.SEGMENT))
+    ends |= {2 ** k for k in range(2, 19)}
+    ends |= set(range(2 * sieve.LPF_CHUNK, limit, sieve.LPF_CHUNK))
+    ends |= {int(table.primes[-1]), limit}
+    ns = sorted({n for e in ends for n in range(e - 3, e + 4)
+                 if 2 <= n <= limit})
+    assert table.primes[-1] == 999_983 and 999_983 in ns
+    trial = {n: trial_factorize(n) for n in ns}
+    for n in ns:
+        assert factorize(table, n).factors == trial[n]
+        assert largest_prime_factor(table, n) == trial[n][-1][0]
+        lam = (math.log(trial[n][0][0]) if len(trial[n]) == 1 else 0.0)
+        assert von_mangoldt(table, n) == lam
+    ks, ps, es = factor_exponents(table, table.limit)
+    starts = np.searchsorted(ks, ns)
+    stops = np.searchsorted(ks, ns, side="right")
+    for n, i, j in zip(ns, starts.tolist(), stops.tolist()):
+        assert list(zip(ps[i:j].tolist(), es[i:j].tolist())) == trial[n]
+    lpf = largest_factor_range(table, 2, table.limit + 1)
+    assert lpf.dtype == np.uint32
+    assert [int(lpf[n - 2]) for n in ns] == [trial[n][-1][0] for n in ns]
 
 
 def test_prime_count_consistency(table_1e4):
@@ -194,23 +229,26 @@ def test_domain_errors(table_1e4):
 def test_resource_error_reports_bytes():
     # the estimate exceeds the budget, so nothing is allocated
     with pytest.raises(ResourceError) as err:
-        build_sieve(10 ** 9)
+        build_sieve(2 * 10 ** 9)
     assert err.value.required_bytes > sieve.MEMORY_BUDGET
     assert err.value.budget_bytes == sieve.MEMORY_BUDGET
 
 
-def test_resource_error_comes_before_any_uint32_overflow():
-    # the 4-byte estimate passes the budget from 714,219,036 on, so no
-    # table reaches 2^32, and build_sieve(2^32) raises before it touches
-    # numpy at all
-    assert (sieve.estimate_table_bytes(714_219_035) <= sieve.MEMORY_BUDGET
-            < sieve.estimate_table_bytes(714_219_036))
+def test_resource_error_comes_before_any_uint16_overflow():
+    # the 2-byte estimate passes the budget from 1,290,685,816 on, so a
+    # table's composites have least factors below isqrt(1,290,685,815) =
+    # 35,926 < 2^16; the estimate and build_sieve(2^32) both raise before
+    # they touch numpy at all
     with mock.patch.object(sieve, "np") as fake_np:
+        assert (sieve.estimate_table_bytes(1_290_685_815)
+                <= sieve.MEMORY_BUDGET
+                < sieve.estimate_table_bytes(1_290_685_816))
         with pytest.raises(ResourceError) as err:
             build_sieve(2 ** 32)
     assert fake_np.mock_calls == []
     assert err.value.required_bytes > sieve.MEMORY_BUDGET
-    assert build_sieve(100).spf.dtype == np.uint32
+    assert math.isqrt(1_290_685_815) == 35_926 < 2 ** 16
+    assert build_sieve(100).spf.dtype == np.uint16
 
 
 def test_table_is_immutable(table_1e4):
