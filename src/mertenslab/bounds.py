@@ -75,7 +75,7 @@ def _dyadic_sweep(name: str, steps, n_max: int, s: int) -> VerificationOutcome:
               - cum[np.searchsorted(pos, n + s, "right")])
              for n in (moves[i] for i in int_blocks(0, moves.size - 1)))
     # 2n log 2 bit for bit: log 4 = 2 log 2
-    return step_law(name, gains, 1, n_max, lambda n: n * LOG4, "upper",
+    return step_law(name, gains, 1, n_max, [(lambda n: n * LOG4, "upper")],
                     -SLACK)
 
 
@@ -93,16 +93,14 @@ def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
                      c2: float = 1.2) -> VerificationOutcome:
     """c1 x <= psi(x) <= c2 x on [2, x_max]; constants calibrated.
 
-    Both lines rise (0 < c1 < c2); on a tie the lower side's witness
-    stands, as it is read first."""
+    Both lines rise (0 < c1 < c2), read off one pass over psi; on a tie
+    the lower side's witness stands, as its law comes first."""
     table.check_range(x_max)
     if not 0 < c1 < c2:
         raise DomainError(f"need 0 < c1 < c2, got ({c1}, {c2})")
-    return min((step_law("psi-linear",
-                         prime_steps(table, x_max, log_base, True), 2, x_max,
-                         lambda x: c * x, side, -SLACK)
-                for c, side in ((c1, "lower"), (c2, "upper"))),
-               key=lambda o: o.worst_witness.margin)
+    return step_law("psi-linear", prime_steps(table, x_max, log_base, True),
+                    2, x_max, [(lambda x: c1 * x, "lower"),
+                               (lambda x: c2 * x, "upper")], -SLACK)
 
 
 def check_primorial_bound(table: SieveTable,
@@ -111,7 +109,7 @@ def check_primorial_bound(table: SieveTable,
     product for k <= 60."""
     table.check_range(k_max, lo=1)
     out = step_law("primorial-bound", prime_steps(table, k_max, log_base),
-                   1, k_max, lambda k: k * LOG4, "upper", -SLACK)
+                   1, k_max, [(lambda k: k * LOG4, "upper")], -SLACK)
     primorial = 1
     for k in range(1, min(60, k_max) + 1):
         if k >= 2 and table.spf[k] == 0:
@@ -174,8 +172,8 @@ def check_pi_upper(table: SieveTable, n_max: int) -> VerificationOutcome:
     """
     table.check_range(n_max, lo=3)
     return step_law("pi-upper", prime_steps(table, n_max, None), 3, n_max,
-                    lambda n: math.e * n / np.log(n.astype(np.float64)),
-                    "upper")
+                    [(lambda n: math.e * n / np.log(n.astype(np.float64)),
+                      "upper")])
 
 
 def check_dusart(table: SieveTable, n_max: int) -> VerificationOutcome:
@@ -205,8 +203,8 @@ def check_reciprocal_lower(table: SieveTable,
     shift = math.log(math.pi * math.pi / 6.0)
     return step_law(
         "reciprocal-lower", [(ps, cum)], 2, n_max,
-        lambda n: np.log(np.log(n.astype(np.float64) + 1.0)) - shift,
-        "lower", -SLACK)
+        [(lambda n: np.log(np.log(n.astype(np.float64) + 1.0)) - shift,
+          "lower")], -SLACK)
 
 
 def check_mertens_bound(table: SieveTable, n_max: int,

@@ -6,11 +6,9 @@ verification suites with pass/fail exit codes), constants (the limit
 constant by both routes).
 
 Exit codes: 0 all pass, 1 verification failure, 2 usage/resource error.
-main alone sets the allocator policy: library use keeps the allocator.
 """
 
 import argparse
-import ctypes
 import math
 import sys
 import time
@@ -18,15 +16,6 @@ import time
 from . import arith, density, partial_sums, reports, suites
 from .errors import DomainError, ResourceError
 from .sieve import build_sieve
-
-# glibc mallopt parameters (malloc.h) and the values main sets: one heap
-# for every --threads worker, arrays up to 32 MiB (glibc's ceiling) taken
-# from it rather than mapped per call, and freed memory kept for the next
-# check instead of trimmed back to the OS, so each page faults in once.
-# Every value fits a C int.
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
-ALLOCATOR_POLICY = ((M_ARENA_MAX, 1), (M_MMAP_THRESHOLD, 32 << 20),
-                    (M_TRIM_THRESHOLD, 1 << 30))
 
 TABLE_FUNCTIONS = ("lambda-sum", "mertens1", "recip-primes", "psi", "theta",
                    "pi", "g-count", "density", "rough-tail", "logzeta")
@@ -223,21 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_allocator_policy() -> None:
-    """Set ALLOCATOR_POLICY through glibc's mallopt; a C library without
-    mallopt, or none that opens as CDLL(None), keeps its own policy."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    for param, value in ALLOCATOR_POLICY:
-        mallopt(param, value)
-
-
 def main(argv=None) -> int:
-    _apply_allocator_policy()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

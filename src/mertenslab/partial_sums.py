@@ -214,7 +214,8 @@ def lambda_sum_bound_sweep(table: SieveTable, x_max: int,
     table.check_range(x_max, lo=10)
     steps = prime_steps(table, x_max, lambda m, p: log_base(m, p) / m, True)
     return step_law("lambda-sum-bound", steps, 10, x_max,
-                    lambda x: (np.log(x, dtype=np.float64), ceiling), "abs")
+                    [(lambda x: (np.log(x, dtype=np.float64), ceiling),
+                      "abs")])
 
 
 def mertens_bound_sweep(table: SieveTable, n_max: int,
@@ -224,7 +225,8 @@ def mertens_bound_sweep(table: SieveTable, n_max: int,
     table.check_range(n_max)
     steps = prime_steps(table, n_max, lambda m, p: log_base(m, p) / p)
     return step_law("mertens1-bound", steps, 2, n_max,
-                    lambda n: (np.log(n, dtype=np.float64), ceiling), "abs")
+                    [(lambda n: (np.log(n, dtype=np.float64), ceiling),
+                      "abs")])
 
 
 def lambda_mertens_gap_sweep(table: SieveTable, x_max: int,

@@ -166,16 +166,9 @@ def factor_exponents(table: SieveTable, n_max: int):
 
 
 def largest_prime_factor(table: SieveTable, n: int) -> int:
-    """Largest prime dividing n; SPF division yields factors ascending."""
-    table.check_range(n)
-    m = n
-    p = 0
-    spf = table.spf
-    while m > 1:
-        p = spf.item(m) or m
-        while m % p == 0:
-            m //= p
-    return p
+    """Largest prime dividing n: the last of factorize's ascending
+    factors."""
+    return factorize(table, n).factors[-1][0]
 
 
 def largest_factor_walk(table: SieveTable, hi: int):

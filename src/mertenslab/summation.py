@@ -201,11 +201,12 @@ def joined(blocks):
     return tuple(map(np.concatenate, zip(*blocks)))
 
 
-def step_law(name: str, steps, lo: int, hi: int, curve, side: str,
+def step_law(name: str, steps, lo: int, hi: int, laws,
              floor: float = 0.0) -> VerificationOutcome:
     """The step function with the (jumps, prefix) blocks ``steps`` (as
-    pieces reads them) against ``curve`` at every integer of [lo, hi],
-    decided by worst_case_blocks at ``floor``.
+    pieces reads them, once) against each (curve, side) of ``laws`` at
+    every integer of [lo, hi], each law decided by worst_case_blocks at
+    ``floor``; the outcome of least margin, the first law's on a tie.
 
     "upper": step <= curve(x) at each piece's left end, witness (step,
     curve); "lower": step >= curve(x) at its right end, witness (curve,
@@ -213,16 +214,22 @@ def step_law(name: str, steps, lo: int, hi: int, curve, side: str,
     ascending order, with (centre, width) = curve(ends), witness
     (|step - centre|, width). Unchecked: the curve rises on every piece
     ("abs": centre is monotone there), so the ends read are the tightest.
+    A law keeps each block's first least case, copied so that no block
+    outlives its turn.
     """
-    def blocks():
-        for ends, step in pieces(steps, lo, hi):
+    least = [[] for _ in laws]
+    for ends, step in pieces(steps, lo, hi):
+        for kept, (curve, side) in zip(least, laws):
             if side == "abs":
                 centre, width = curve(ends)
                 dev = np.abs(np.subtract(step[:, None], centre)).ravel()
-                yield ends.ravel(), dev, width, width - dev
+                block = ends.ravel(), dev, width, width - dev
             else:
                 x = ends[:, {"upper": 0, "lower": 1}[side]]
                 c = curve(x)
-                yield ((x, step, c, c - step) if side == "upper"
-                       else (x, c, step, step - c))
-    return worst_case_blocks(name, (lo, hi), blocks(), floor)
+                block = ((x, step, c, c - step) if side == "upper"
+                         else (x, c, step, step - c))
+            j = [int(np.argmin(block[3]))]
+            kept.append([np.take(a, j) for a in np.broadcast_arrays(*block)])
+    return min((worst_case_blocks(name, (lo, hi), kept, floor)
+                for kept in least), key=lambda o: o.worst_witness.margin)

@@ -1,10 +1,8 @@
-import ctypes
 import dataclasses
 import json
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -15,14 +13,6 @@ from mertenslab.cli import main
 DATA = Path(__file__).parent / "data"
 GOLDEN_1E7 = (Path(__file__).parents[1] / "perfbench"
               / "golden_verify_1e7.json")
-
-REAL_POLICY = cli._apply_allocator_policy
-
-@pytest.fixture(autouse=True)
-def _keep_the_allocator(monkeypatch):
-    # main's policy would hold for the rest of the test session; the
-    # policy tests put it back with a stub C library in place
-    monkeypatch.setattr(cli, "_apply_allocator_policy", lambda: None)
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -352,78 +342,3 @@ def test_table_logzeta_rejects_nan_s(capsys):
                              "--xs", "100", "--s", "nan")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "s > 1" in err
-
-# glibc M_ARENA_MAX, M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, and their values
-GLIBC_MALLOPT = {-8: 1, -3: 32 << 20, -1: 1 << 30}
-
-def test_every_main_sets_the_allocator_policy_once(capsys, monkeypatch):
-    calls = []
-
-    def mallopt(param, value):
-        calls.append((param, value))
-        return 1
-
-    monkeypatch.setattr(cli, "_apply_allocator_policy", REAL_POLICY)
-    monkeypatch.setattr(ctypes, "CDLL",
-                        lambda name: types.SimpleNamespace(mallopt=mallopt))
-    for _ in range(2):
-        assert run_cli(capsys, "sieve", "--limit", "100")[0] == 0
-        # a C int: ctypes would pass 1 << 40 as 0, trimming at every free
-        assert dict(calls) == GLIBC_MALLOPT and len(calls) == 3
-        assert all(0 < value < 2 ** 31 for _, value in calls)
-        calls.clear()
-
-class _NoMallopt:
-    def __init__(self, name):
-        pass
-
-def _no_libc(error):
-    def cdll(name):
-        raise error("no C library")
-    return cdll
-
-@pytest.mark.parametrize("cdll", [_NoMallopt, _no_libc(OSError),
-                                  _no_libc(TypeError)],
-                         ids=["no-mallopt", "OSError", "TypeError"])
-def test_verify_runs_where_mallopt_is_missing(capsys, monkeypatch, cdll):
-    monkeypatch.setattr(cli, "_apply_allocator_policy", REAL_POLICY)
-    monkeypatch.setattr(ctypes, "CDLL", cdll)
-    code, out, err = run_cli(capsys, "verify", "--suite", "all",
-                             "--limit", "100000")
-    assert (code, err) == (0, "")
-    assert out.encode() == (DATA / "verify_all_1e5.txt").read_bytes()
-
-def test_library_use_leaves_the_allocator_alone():
-    # import mertenslab and build_sieve make no mallopt call; main makes
-    # three, each accepted by glibc
-    script = """
-import ctypes, json, platform
-calls = []
-libc = ctypes.CDLL(None)
-real = getattr(libc, "mallopt", None)
-if real is not None:
-    real.argtypes, real.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-
-def mallopt(param, value):
-    calls.append((param, value, real(param, value) if real else None))
-    return 1
-
-class Libc:
-    mallopt = staticmethod(mallopt)
-
-ctypes.CDLL = lambda name: Libc()
-import mertenslab
-from mertenslab.sieve import build_sieve
-build_sieve(10 ** 5)
-import mertenslab.cli
-library = list(calls)
-mertenslab.cli.main(["sieve", "--limit", "100"])
-print(json.dumps([library, calls[len(library):], platform.libc_ver()[0]]))
-"""
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, check=True)
-    library, entry, libc = json.loads(proc.stdout.splitlines()[-1])
-    assert library == []
-    assert {p: v for p, v, _ in entry} == GLIBC_MALLOPT and len(entry) == 3
-    if libc == "glibc":
-        assert [ok for _, _, ok in entry] == [1, 1, 1]

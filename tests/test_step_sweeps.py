@@ -212,7 +212,7 @@ def test_piece_ends_rejects_empty_range():
 def test_step_law_fails_at_the_tight_end_only(side, cum, curve, witness):
     # a law that read the other end of the piece would pass here
     steps = [(np.array([5], dtype=np.int64), np.array(cum))]
-    out = S.step_law("planted", steps, 5, 9, curve, side)
+    out = S.step_law("planted", steps, 5, 9, [(curve, side)])
     assert (out.passed, out.range, out.worst_witness) == (False, (5, 9),
                                                          witness)
 
@@ -236,16 +236,17 @@ def test_step_law_is_the_same_at_any_block(table_1e4, monkeypatch, side,
     # stream in one block, re-chunked, or read BLOCK jumps at a time
     ps = table_1e4.primes_upto(2999)
     theta = S.compensated_cumsum(np.log(ps.astype(np.float64)))
-    whole = S.step_law("theta", [(ps, theta)], 2, 2999, curve, side, floor)
+    whole = S.step_law("theta", [(ps, theta)], 2, 2999, [(curve, side)],
+                       floor)
     assert not whole.passed
     for size in (1, 2, 3):
         steps = _rechunked(A.prime_steps(table_1e4, 2999, A.log_base), size)
-        assert S.step_law("theta", steps, 2, 2999, curve, side,
+        assert S.step_law("theta", steps, 2, 2999, [(curve, side)],
                           floor) == whole
     for block in (1, 2, 3):
         monkeypatch.setattr(S, "BLOCK", block)
         assert S.step_law("theta", A.prime_steps(table_1e4, 2999, A.log_base),
-                          2, 2999, curve, side, floor) == whole
+                          2, 2999, [(curve, side)], floor) == whole
 
 
 @pytest.mark.parametrize("side,curve", [
@@ -257,9 +258,56 @@ def test_step_law_without_prefix_counts_the_jumps(table_1e4, side, curve):
     ps = table_1e4.primes
     steps = list(A.prime_steps(table_1e4, 10 ** 4, None))
     assert all(counts.dtype == np.int64 for _, counts in steps)
-    assert S.step_law("pi", steps, 3, 10 ** 4, curve, side) == \
-        S.step_law("pi", [(ps, np.arange(1, ps.size + 1))], 3, 10 ** 4, curve,
-                   side)
+    assert S.step_law("pi", steps, 3, 10 ** 4, [(curve, side)]) == \
+        S.step_law("pi", [(ps, np.arange(1, ps.size + 1))], 3, 10 ** 4,
+                   [(curve, side)])
+
+
+# both sides of the piece [5, 9] with step 10 miss by exactly 1: the
+# lower law at 9 against 2x - 7, the upper at 5 against x + 4
+TIED = {"lower": ((lambda x: 2.0 * x - 7.0, "lower"),
+                  Witness(9, 11.0, 10.0, -1.0)),
+        "upper": ((lambda x: x + 4.0, "upper"), Witness(5, 10.0, 9.0, -1.0))}
+
+
+@pytest.mark.parametrize("first,second", [("lower", "upper"),
+                                          ("upper", "lower")])
+def test_step_law_keeps_the_first_law_on_a_tie(first, second):
+    steps = [(np.array([5], dtype=np.int64), np.array([10.0]))]
+    out = S.step_law("planted", steps, 5, 9,
+                     [TIED[first][0], TIED[second][0]])
+    assert (out.passed, out.worst_witness) == (False, TIED[first][1])
+
+
+@pytest.mark.parametrize("first,second", [
+    (a, b) for a in range(len(LAWS)) for b in range(len(LAWS)) if a != b])
+def test_two_laws_are_the_least_of_each_alone(table_1e4, monkeypatch, first,
+                                              second):
+    # one pass over theta for two laws, in one block, re-chunked, or read
+    # BLOCK jumps at a time, against a pass per law
+    laws = [LAWS[first][1::-1], LAWS[second][1::-1]]
+    alone = [S.step_law("theta", A.prime_steps(table_1e4, 2999, A.log_base),
+                        2, 2999, [law]) for law in laws]
+    least = min(alone, key=lambda o: o.worst_witness.margin)
+    assert not least.passed
+    for size in (1, 2, 3):
+        steps = _rechunked(A.prime_steps(table_1e4, 2999, A.log_base), size)
+        assert S.step_law("theta", steps, 2, 2999, laws) == least
+    for block in (1, 2, 3):
+        monkeypatch.setattr(S, "BLOCK", block)
+        assert S.step_law("theta", A.prime_steps(table_1e4, 2999, A.log_base),
+                          2, 2999, laws) == least
+
+
+def test_psi_linear_reads_psi_once(table_1e5, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return A.prime_steps(*args)
+    monkeypatch.setattr(B, "prime_steps", counted)
+    B.check_psi_linear(table_1e5, 10 ** 5)
+    assert calls == [(10 ** 5, A.log_base)]
 
 
 # one higher power left out of the merge, and a check it feeds that the
