@@ -22,8 +22,6 @@ from .summation import (_multiples, _parts, compensated_cumsum,
                         cumsum_blocks, dirichlet, fsum, int_blocks, joined,
                         pieces)
 
-PSI_THETA_TOL = 1e-12
-
 
 def von_mangoldt(table: SieveTable, n: int) -> float:
     """log p when n = p^alpha, else 0; detection by repeated SPF division."""
@@ -365,8 +363,8 @@ def generalized_lambda_k1_sweep(table: SieveTable, n_max: int,
 
 def psi_theta_dominance_sweep(table: SieveTable,
                               x_max: int) -> VerificationOutcome:
-    """psi >= theta everywhere, equality exactly while no higher prime
-    power has appeared (x < 4), to within PSI_THETA_TOL.
+    """psi >= theta everywhere; equal while no higher prime power has
+    appeared (x < 4), the same terms summed, and from 4 on at least log 2.
 
     Both are constant between prime powers, so their values at the ends
     of those pieces cover every integer in [2, x_max].
@@ -378,10 +376,9 @@ def psi_theta_dominance_sweep(table: SieveTable,
     xs, psi = ends.ravel(), np.repeat(psi, 2)
     theta = np.r_[0.0, theta][np.searchsorted(ps, xs, side="right")]
     diff = psi - theta
-    out = worst_case("psi-theta-dominance", (2, x_max), xs, theta, psi, diff,
-                     -PSI_THETA_TOL)
+    out = worst_case("psi-theta-dominance", (2, x_max), xs, theta, psi, diff)
     # equality must break exactly at the first higher power, 4
     breaks_at_4 = x_max < 4 or (
-        bool(np.all(diff[xs < 4] <= PSI_THETA_TOL))
-        and bool(np.all(diff[xs >= 4] > math.log(2) - 1e-9)))
+        bool(np.all(diff[xs < 4] == 0.0))
+        and bool(np.all(diff[xs >= 4] >= math.log(2))))
     return dataclasses.replace(out, passed=out.passed and breaks_at_4)

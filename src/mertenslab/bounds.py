@@ -1,13 +1,13 @@
 """Effective inequalities checked over exhaustive desk-scale ranges.
 
-Log-space checks pass at margin >= -SLACK (1e-9), so float error can
-never fabricate a counterexample of a proven theorem; pi-upper and
-mertens1-bound pass at margin >= 0, dusart and stirling-lower only at
-margin > 0. Where exact integer arithmetic is feasible (small
-parameters) a zero-tolerance big-integer pass runs alongside; its first
-miss, as exact_case would pick it, overrides the float verdict with its
-own witness (margin -1.0), built here by hand. Every other verdict comes
-from outcomes.worst_case_blocks. Failures are reported, never raised.
+Every check passes under the one rule of outcomes.worst_case_blocks:
+margin >= 0, and > 0 for the strict claims of dusart and stirling-lower,
+so a computed miss of any size fails; no check has a floor below 0.
+Where exact integer arithmetic is feasible (small parameters) a
+zero-tolerance big-integer pass runs alongside; its first miss, as
+exact_case would pick it, overrides the float verdict with its own
+witness (margin -1.0), built here by hand. Failures are reported, never
+raised.
 
 pi(n), psi(x), theta(x), the sum of 1/p and the gain of psi or theta
 over (n, 2n] are step functions, held to rising curves at the tight end
@@ -30,13 +30,12 @@ from .sieve import SieveTable
 from .summation import compensated_cumsum, int_blocks, joined, step_law
 
 LOG4 = math.log(4.0)
-SLACK = 1e-9
 
 
 def check_binomial_bounds(n_max: int) -> VerificationOutcome:
     """4^n/(2n+1) <= C(2n,n) <= 4^n for n = 1..n_max.
 
-    Log space with slack; exact big-integer comparison for n <= 30.
+    Log space; exact big-integer comparison for n <= 30.
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -49,8 +48,8 @@ def check_binomial_bounds(n_max: int) -> VerificationOutcome:
             floor = cap - np.log(2.0 * ns + 1.0)
             yield ((ns, logc, cap, cap - logc) if upper
                    else (ns, floor, logc, logc - floor))
-    out = min((worst_case_blocks("binomial-bounds", (1, n_max), side(upper),
-                                 -SLACK) for upper in (True, False)),
+    out = min((worst_case_blocks("binomial-bounds", (1, n_max), side(upper))
+               for upper in (True, False)),
               key=lambda o: o.worst_witness.margin)
     for n in range(1, min(30, n_max) + 1):
         c = math.comb(2 * n, n)
@@ -75,8 +74,7 @@ def _dyadic_sweep(name: str, steps, n_max: int, s: int) -> VerificationOutcome:
               - cum[np.searchsorted(pos, n + s, "right")])
              for n in (moves[i] for i in int_blocks(0, moves.size - 1)))
     # 2n log 2 bit for bit: log 4 = 2 log 2
-    return step_law(name, gains, 1, n_max, [(lambda n: n * LOG4, "upper")],
-                    -SLACK)
+    return step_law(name, gains, 1, n_max, [(lambda n: n * LOG4, "upper")])
 
 
 def check_psi_dyadic(table: SieveTable, n_max: int) -> VerificationOutcome:
@@ -100,7 +98,7 @@ def check_psi_linear(table: SieveTable, x_max: int, c1: float = 0.3,
         raise DomainError(f"need 0 < c1 < c2, got ({c1}, {c2})")
     return step_law("psi-linear", prime_steps(table, x_max, log_base, True),
                     2, x_max, [(lambda x: c1 * x, "lower"),
-                               (lambda x: c2 * x, "upper")], -SLACK)
+                               (lambda x: c2 * x, "upper")])
 
 
 def check_primorial_bound(table: SieveTable,
@@ -109,7 +107,7 @@ def check_primorial_bound(table: SieveTable,
     product for k <= 60."""
     table.check_range(k_max, lo=1)
     out = step_law("primorial-bound", prime_steps(table, k_max, log_base),
-                   1, k_max, [(lambda k: k * LOG4, "upper")], -SLACK)
+                   1, k_max, [(lambda k: k * LOG4, "upper")])
     primorial = 1
     for k in range(1, min(60, k_max) + 1):
         if k >= 2 and table.spf[k] == 0:
@@ -204,7 +202,7 @@ def check_reciprocal_lower(table: SieveTable,
     return step_law(
         "reciprocal-lower", [(ps, cum)], 2, n_max,
         [(lambda n: np.log(np.log(n.astype(np.float64) + 1.0)) - shift,
-          "lower")], -SLACK)
+          "lower")])
 
 
 def check_mertens_bound(table: SieveTable, n_max: int,

@@ -1,6 +1,8 @@
 """Report container for identity and inequality checks, and the two
 verdict rules every check goes through: worst_case (or worst_case_blocks,
-streamed) for inequalities and tolerances, exact_case for equalities."""
+streamed) for inequalities and tolerances, exact_case for equalities.
+worst_case is the one pass rule for margins, >= 0 (> 0 when strict), so
+a computed miss of any size fails: no check sets a floor below 0."""
 
 import math
 from dataclasses import dataclass
@@ -37,18 +39,17 @@ class VerificationOutcome:
 
 
 def worst_case(name: str, rng: tuple[int, int], inputs, lhs, rhs, margins,
-               floor: float = 0.0, strict: bool = False) -> VerificationOutcome:
+               strict: bool = False) -> VerificationOutcome:
     """Outcome witnessed by the first case of smallest margin.
 
     ``lhs`` and ``rhs`` may be scalars, broadcast over the cases. The check
-    passes when that margin is >= floor, or > floor when ``strict``.
+    passes when that margin is >= 0, or > 0 when ``strict`` (NaN fails).
     """
     return worst_case_blocks(name, rng, [(inputs, lhs, rhs, margins)],
-                             floor, strict)
+                             strict)
 
 
 def worst_case_blocks(name: str, rng: tuple[int, int], blocks,
-                      floor: float = 0.0,
                       strict: bool = False) -> VerificationOutcome:
     """worst_case over a stream of non-empty (inputs, lhs, rhs, margins)
     blocks as if concatenated: a later block's witness wins only with a
@@ -60,7 +61,7 @@ def worst_case_blocks(name: str, rng: tuple[int, int], blocks,
             lhs, rhs = np.broadcast_arrays(lhs, rhs, margins)[:2]
             w = Witness(input=int(inputs[j]), lhs=float(lhs[j]),
                         rhs=float(rhs[j]), margin=float(margins[j]))
-    passed = w.margin > floor if strict else w.margin >= floor
+    passed = w.margin > 0.0 if strict else w.margin >= 0.0
     return VerificationOutcome(name, rng, passed, w)
 
 

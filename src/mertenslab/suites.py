@@ -43,6 +43,9 @@ def resolve_tolerances(overrides: dict[str, float] | None) -> dict[str, float]:
             known = ", ".join(sorted(tols))
             raise DomainError(f"unknown tolerance '{name}' (known: {known})")
         tols[name] = float(value)
+    c1, c2 = tols["psi-linear-c1"], tols["psi-linear-c2"]
+    if not 0 < c1 < c2:     # as check_psi_linear, before any sieve is built
+        raise DomainError(f"need 0 < c1 < c2, got ({c1}, {c2})")
     return tols
 
 

@@ -201,12 +201,11 @@ def joined(blocks):
     return tuple(map(np.concatenate, zip(*blocks)))
 
 
-def step_law(name: str, steps, lo: int, hi: int, laws,
-             floor: float = 0.0) -> VerificationOutcome:
+def step_law(name: str, steps, lo: int, hi: int, laws) -> VerificationOutcome:
     """The step function with the (jumps, prefix) blocks ``steps`` (as
     pieces reads them, once) against each (curve, side) of ``laws`` at
-    every integer of [lo, hi], each law decided by worst_case_blocks at
-    ``floor``; the outcome of least margin, the first law's on a tie.
+    every integer of [lo, hi], each law decided by worst_case_blocks
+    (margin >= 0); the outcome of least margin, the first law's on a tie.
 
     "upper": step <= curve(x) at each piece's left end, witness (step,
     curve); "lower": step >= curve(x) at its right end, witness (curve,
@@ -231,5 +230,5 @@ def step_law(name: str, steps, lo: int, hi: int, laws,
                          else (x, c, step, step - c))
             j = [int(np.argmin(block[3]))]
             kept.append([np.take(a, j) for a in np.broadcast_arrays(*block)])
-    return min((worst_case_blocks(name, (lo, hi), kept, floor)
+    return min((worst_case_blocks(name, (lo, hi), kept)
                 for kept in least), key=lambda o: o.worst_witness.margin)

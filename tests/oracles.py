@@ -222,11 +222,11 @@ def abel_summation_quadrature(weights, f, f_prime, lower: float,
 
 def bound_sweep_reference(check: str, hi: int, ceiling: float = 2.0,
                           c1: float = 0.3, c2: float = 1.2,
-                          log4: float = math.log(4.0),
-                          slack: float = 1e-9) -> tuple[bool, int]:
+                          log4: float = math.log(4.0)) -> tuple[bool, int]:
     """(passed, witness input) of one exhaustive bound check, from its
     margin at every integer of its range: the witness is the first
-    integer with the smallest margin."""
+    integer with the smallest margin, and the check passes when that
+    margin is >= 0."""
     top = {"psi-dyadic": 2 * hi,
            "interval-primorial": 2 * hi + 1}.get(check, hi)
     primes = trial_primes(top)
@@ -239,37 +239,37 @@ def bound_sweep_reference(check: str, hi: int, ceiling: float = 2.0,
                  if check == "lambda-sum-bound"
                  else {p: math.log(p) / p for p in primes})
         f = fsum_prefix(terms, hi)
-        lo, floor = (10 if check == "lambda-sum-bound" else 2), 0.0
+        lo = 10 if check == "lambda-sum-bound" else 2
 
         def margin(n):
             return ceiling - abs(f[n] - math.log(n))
     elif check == "pi-upper":
         pi = fsum_prefix(dict.fromkeys(primes, 1.0), hi)
-        lo, floor = 3, 0.0
+        lo = 3
 
         def margin(n):
             return math.e * n / math.log(n) - pi[n]
     elif check == "reciprocal-lower":
         s = fsum_prefix({p: 1.0 / p for p in primes}, hi)
-        lo, floor = 2, -slack
+        lo = 2
         shift = math.log(math.pi * math.pi / 6.0)
 
         def margin(n):
             return s[n] - (math.log(math.log(n + 1.0)) - shift)
     elif check == "psi-linear":
         psi = fsum_prefix(powers, top)
-        lo, floor = 2, -slack
+        lo = 2
 
         def margin(n):
             return min(psi[n] - c1 * n, c2 * n - psi[n])
     elif check == "psi-dyadic":
         psi = fsum_prefix(powers, top)
-        lo, floor = 1, -slack
+        lo = 1
 
         def margin(n):
             return log4 * n - (psi[2 * n] - psi[n])
     elif check == "small-part-bound":
-        lo, floor = 10, 0.0
+        lo = 10
         small_primes = [p for p in primes if p * p <= hi]
 
         def margin(x):
@@ -278,30 +278,34 @@ def bound_sweep_reference(check: str, hi: int, ceiling: float = 2.0,
             top_cap = math.e * x / math.log(math.sqrt(x))
             return min(mid - sum(p - 1 for p in roots), top_cap - mid)
     elif check == "primorial-bound":
-        lo, floor = 1, -slack
+        lo = 1
 
         def margin(k):
             return k * log4 - theta[k]
     elif check == "interval-primorial":
-        lo, floor = 1, -slack
+        lo = 1
 
         def margin(m):
             return m * log4 - (theta[2 * m + 1] - theta[m + 1])
     elif check == "psi-theta-dominance":
         psi = fsum_prefix(powers, top)
-        lo, floor = 2, -1e-12
+        lo = 2
 
         def margin(x):
             return psi[x] - theta[x]
-        # equal below the first higher prime power, 4; log 2 apart after
-        holds = all(margin(x) <= 1e-12 if x < 4
-                    else margin(x) > math.log(2) - 1e-9
+        # equal below the first higher prime power, 4; log 2 apart after.
+        # Read psi - theta as the sum of the higher powers' terms: from 4
+        # to 7 it is log 2 in the reals, and the difference of the two
+        # exactly rounded prefixes falls 3.3e-16 under it at 5 and 6
+        higher = fsum_prefix({m: powers[m] for m in powers.keys()
+                              - set(primes)}, top)
+        holds = all(higher[x] == 0.0 if x < 4 else higher[x] >= math.log(2)
                     for x in range(lo, hi + 1))
     elif check == "lambda-mertens-gap":
         # the higher powers alone: sum Lambda(m)/m - sum (log p)/p >= 0
         higher = powers.keys() - set(primes)
         gap = fsum_prefix({m: powers[m] / m for m in higher}, hi)
-        lo, floor = 2, 0.0
+        lo = 2
         holds = min(gap[2:]) >= 0.0
 
         def margin(x):
@@ -309,7 +313,7 @@ def bound_sweep_reference(check: str, hi: int, ceiling: float = 2.0,
     else:
         raise ValueError(f"no reference for {check}")
     worst = min(range(lo, hi + 1), key=margin)
-    return margin(worst) >= floor and holds, worst
+    return margin(worst) >= 0.0 and holds, worst
 
 
 def running_sum_loop(values) -> list[float]:

@@ -155,6 +155,19 @@ def test_verify_unknown_tolerance(capsys, monkeypatch):
     assert code == 2
     assert "unknown tolerance 'bogus'" in err
 
+def test_verify_bad_psi_linear_pair(capsys, monkeypatch):
+    # 0 < c1 < c2 is checked with the names, before any table is built
+    def no_table(*args, **kwargs):
+        raise AssertionError("sieve built for a bad psi-linear pair")
+
+    monkeypatch.setattr(cli, "build_sieve", no_table)
+    for tol in ("psi-linear-c1=2", "psi-linear-c1=1.2", "psi-linear-c1=0",
+                "psi-linear-c2=0.2"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "all",
+                                 "--limit", "10000000", "--tol", tol)
+        assert (tol, code, out) == (tol, 2, "")
+        assert "need 0 < c1 < c2" in err
+
 def test_verify_zero_threads(capsys, monkeypatch):
     # rejected while the arguments are parsed, before any table is built
     def no_table(*args, **kwargs):

@@ -217,9 +217,9 @@ def test_step_law_fails_at_the_tight_end_only(side, cum, curve, witness):
                                                          witness)
 
 
-LAWS = [("upper", lambda x: 0.95 * x + 10.0, -1e-9),
-        ("lower", lambda x: 0.98 * x, 0.0),
-        ("abs", lambda e: (1.0 * e, 20.0), 0.0)]
+LAWS = [("upper", lambda x: 0.95 * x + 10.0),
+        ("lower", lambda x: 0.98 * x),
+        ("abs", lambda e: (1.0 * e, 20.0))]
 
 
 def _rechunked(steps, size):
@@ -229,24 +229,22 @@ def _rechunked(steps, size):
             for i in range(0, jumps.size, size)]
 
 
-@pytest.mark.parametrize("side,curve,floor", LAWS)
+@pytest.mark.parametrize("side,curve", LAWS)
 def test_step_law_is_the_same_at_any_block(table_1e4, monkeypatch, side,
-                                           curve, floor):
+                                           curve):
     # theta against curves near x, each broken inside the range: the
     # stream in one block, re-chunked, or read BLOCK jumps at a time
     ps = table_1e4.primes_upto(2999)
     theta = S.compensated_cumsum(np.log(ps.astype(np.float64)))
-    whole = S.step_law("theta", [(ps, theta)], 2, 2999, [(curve, side)],
-                       floor)
+    whole = S.step_law("theta", [(ps, theta)], 2, 2999, [(curve, side)])
     assert not whole.passed
     for size in (1, 2, 3):
         steps = _rechunked(A.prime_steps(table_1e4, 2999, A.log_base), size)
-        assert S.step_law("theta", steps, 2, 2999, [(curve, side)],
-                          floor) == whole
+        assert S.step_law("theta", steps, 2, 2999, [(curve, side)]) == whole
     for block in (1, 2, 3):
         monkeypatch.setattr(S, "BLOCK", block)
         assert S.step_law("theta", A.prime_steps(table_1e4, 2999, A.log_base),
-                          2, 2999, [(curve, side)], floor) == whole
+                          2, 2999, [(curve, side)]) == whole
 
 
 @pytest.mark.parametrize("side,curve", [
