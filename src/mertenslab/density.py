@@ -6,8 +6,8 @@ over primes of min(p-1, floor(x/p)), by quotient groups. They share no
 code, and the bijection between them is exact, so the suites compare
 integer against integer through outcomes.exact_case. All square-root
 threshold comparisons are done in integer arithmetic (p*p vs n in int64,
-or P > n // P) so perfect squares can never be misclassified. The census
-walks the largest factors up to x once, keeping them below x/2 (20 MB at
+or P*P vs n in uint32) so perfect squares can never be misclassified. The
+census walks P up to x once, capped at 0xFFFF and kept below x/2 (10 MB at
 1e7), and one walk gives it at every x a sweep asks for.
 """
 
@@ -17,11 +17,12 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .outcomes import VerificationOutcome, Witness, exact_case, worst_case
+from .outcomes import (VerificationOutcome, Witness, exact_case, worst_case,
+                       worst_case_blocks)
 from .arith import prime_sum
 from .partial_sums import LOG2, ResidualReport, ResidualRow, _validate_xs
 from .sieve import LPF_CHUNK, SieveTable, largest_factor_walk
-from .summation import _multiples, joined, pieces
+from .summation import _multiples, int_blocks, joined, pieces
 
 
 def census_counts(table: SieveTable, xs) -> np.ndarray:
@@ -30,9 +31,11 @@ def census_counts(table: SieveTable, xs) -> np.ndarray:
 
     One largest_factor_walk up to the largest x; the flags P(n)^2 > n
     of each chunk are counted with a running total, and a chunk that
-    holds some of the xs reads their counts off its prefix sum. The walk
-    keeps P below half the largest x (20 MB at 1e7); the temporaries
-    stay O(LPF_CHUNK).
+    holds some of the xs reads their counts off its prefix sum. P is
+    capped at 0xFFFF, whose square fits uint32, so each flag is exact for
+    n < 0xFFFF^2, past any table MEMORY_BUDGET admits. The walk keeps P
+    below half the largest x (10 MB at 1e7); the temporaries stay
+    O(LPF_CHUNK).
     """
     xs = np.asarray(xs, dtype=np.int64)
     table.check_range(int(xs.min()))
@@ -42,8 +45,8 @@ def census_counts(table: SieveTable, xs) -> np.ndarray:
     out = np.empty(xs.size, dtype=np.int64)
     total = 0
     for start, p in largest_factor_walk(table, int(want[-1]) + 1):
-        # P(n)^2 > n as P(n) > n // P(n), exact in uint32
-        flags = p > np.arange(start, start + p.size, dtype=p.dtype) // p
+        p = p.astype(np.uint32)
+        flags = p * p > np.arange(start, start + p.size, dtype=np.uint32)
         i, j = np.searchsorted(want, [start, start + p.size]).tolist()
         if i < j:
             out[order[i:j]] = total + np.cumsum(flags)[want[i:j] - start]
@@ -191,7 +194,8 @@ def split_interval_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
 
     p in the interval iff p*p > x and p(p-1) <= x, i.e. x in
     [p^2 - p, p^2 - 1]: integer arithmetic throughout. The j-th x of
-    p's span is p(p-1) + j - 1, for j = 1..min(p, x_max - p^2 + p + 1).
+    p's span is p(p-1) + j - 1, for j = 1..min(p, x_max - p^2 + p + 1);
+    the spans ascend with p, and the counts are read BLOCK x's at a time.
     """
     table.check_range(x_max)
     ps = table.primes_upto(math.isqrt(x_max) + 1)
@@ -202,9 +206,13 @@ def split_interval_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
                         owner - 1)
     if not floors.passed:
         return floors
-    counts = np.bincount(xs, minlength=x_max + 1)[2:]
-    return worst_case("split-interval", (2, x_max), range(2, x_max + 1),
-                      counts, 1, 1 - counts)
+
+    def blocks():
+        for x in int_blocks(2, x_max):
+            a, b = xs.searchsorted([x[0], x[-1] + 1]).tolist()
+            counts = np.bincount(xs[a:b] - x[0], minlength=x.size)
+            yield x, counts, 1, 1 - counts
+    return worst_case_blocks("split-interval", (2, x_max), blocks())
 
 
 def small_part_bound_sweep(table: SieveTable,

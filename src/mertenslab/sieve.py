@@ -9,9 +9,10 @@ so cache behaviour stays flat at large limits, and each segment takes
 plain strided stores of the base primes, largest first, so no slot is
 read back; the base primes, those up to sqrt(limit), are the prime list
 of a table built the same way at that smaller limit, and the finished
-table is immutable. Largest prime factors over a range come from one
-memoized walk over the SPF chains (largest_factor_walk), and the
-factorizations of a range from one vectorized walk (factor_exponents).
+table is immutable. Largest prime factors capped at 0xFFFF come from one
+memoized walk over the SPF chains (largest_factor_walk), exact ones from
+peeling each chain (largest_factor_range), and the factorizations of a
+range from one vectorized walk (factor_exponents).
 """
 
 import math
@@ -172,26 +173,28 @@ def largest_prime_factor(table: SieveTable, n: int) -> int:
 
 
 def largest_factor_walk(table: SieveTable, hi: int):
-    """Largest prime factor P(n) of every n in [2, hi), in uint32 (P
-    passes 2^16), as (start, P) pairs for chunks of at most LPF_CHUNK.
+    """Largest prime factor P(n) of every n in [2, hi), capped at 0xFFFF,
+    in uint16, as (start, P) pairs for chunks of at most LPF_CHUNK.
 
     Reads the recurrence P(n) = max(spf(n), P(n // spf(n))), P(1) = 0,
-    off each integer's SPF chain, a prime's spf being itself. A chunk
-    [start, stop) ends by 2 * start, so every cofactor n // spf(n) <= n/2
-    < start is known before its chunk runs. The memo keeps P only up to
+    off each integer's SPF chain, a prime p's spf being min(p, 0xFFFF):
+    a composite's spf is below 2^16 and min distributes over max, so the
+    capped P is exact, and 0xFFFF = 3 * 5 * 17 * 257 means P(n) > 65535.
+    A chunk [start, stop) ends by 2 * start, so every cofactor n // spf(n)
+    <= n/2 < start is known before its chunk runs. The memo keeps P up to
     (hi - 1) // 2, the largest cofactor; a chunk above it is a fresh array.
     """
     spf, primes = table.spf, table.primes
-    memo = np.zeros((hi - 1) // 2 + 1, dtype=np.uint32)
+    memo = np.zeros((hi - 1) // 2 + 1, dtype=np.uint16)
     start = 2
     while start < hi:
         stop = min(start + LPF_CHUNK, 2 * start,
                    memo.size if start < memo.size else hi)
         out = (memo[start:stop] if stop <= memo.size
-               else np.empty(stop - start, dtype=np.uint32))
+               else np.empty(stop - start, dtype=np.uint16))
         out[:] = spf[start:stop]
         i, j = primes.searchsorted([start, stop]).tolist()
-        out[primes[i:j] - start] = primes[i:j]
+        out[primes[i:j] - start] = np.minimum(primes[i:j], 0xFFFF)
         # divided in uint32, gathered with intp (numpy converts a uint32
         # index array on every gather), and not held past the yield
         np.maximum(out, memo[(np.arange(start, stop, dtype=np.uint32) // out)
@@ -201,10 +204,14 @@ def largest_factor_walk(table: SieveTable, hi: int):
 
 
 def largest_factor_range(table: SieveTable, lo: int, hi: int) -> np.ndarray:
-    """Largest prime factor P(n) of every n in [lo, hi), uint32: the
-    walk's chunks in one array."""
+    """Largest prime factor P(n) of every n in [lo, hi), uint32: each n
+    divided by its spf until a prime, which spf reads as 0, is left."""
     if not 2 <= lo <= hi <= table.limit + 1:
         raise DomainError(
             f"range [{lo}, {hi}) outside [2, {table.limit + 1})")
-    chunks = [p for _, p in largest_factor_walk(table, hi)]
-    return np.concatenate([np.empty(0, dtype=np.uint32), *chunks])[lo - 2:]
+    m = np.arange(lo, hi, dtype=np.uint32)
+    more = np.flatnonzero(table.spf[m])
+    while more.size:
+        m[more] //= table.spf[m[more]]
+        more = more[table.spf[m[more]] != 0]
+    return m

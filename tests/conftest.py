@@ -28,15 +28,21 @@ def table_2e7():
 @pytest.fixture
 def verdict_args(monkeypatch):
     """spy(module, rule): the (inputs, lhs, rhs) arrays each call of the
-    verdict rule ``rule`` (exact_case or worst_case) is handed inside
-    ``module``, collected in call order into the list it returns."""
+    verdict rule ``rule`` (exact_case, worst_case or worst_case_blocks,
+    whose blocks are joined) is handed inside ``module``, collected in
+    call order into the list it returns."""
     def spy(module, rule):
         seen = []
         real = getattr(module, rule)
 
-        def record(name, rng, inputs, lhs, rhs, *rest):
-            seen.append(tuple(np.asarray(a) for a in (inputs, lhs, rhs)))
-            return real(name, rng, inputs, lhs, rhs, *rest)
+        def record(name, rng, *args):
+            if rule == "worst_case_blocks":
+                args = (list(args[0]), *args[1:])
+                sides = zip(*(np.broadcast_arrays(*b)[:3] for b in args[0]))
+                seen.append(tuple(map(np.concatenate, sides)))
+            else:
+                seen.append(tuple(np.asarray(a) for a in args[:3]))
+            return real(name, rng, *args)
 
         monkeypatch.setattr(module, rule, record)
         return seen

@@ -28,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 _HAIR = "tests/test_verdict_rule.py::test_"
+_SWEEP = "tests/test_step_sweeps.py::test_sweep_matches_brute_force["
 
 MUTANTS = [
     ("worst-case-floor", "src/mertenslab/outcomes.py",
@@ -74,6 +75,49 @@ MUTANTS = [
      "p = spf.item(m) or m", "p = spf.item(m)",
      ["tests/test_sieve.py::test_factorize_matches_trial_division",
       "tests/test_sieve.py::test_factorize_examples"]),
+    ("walk-cap-dropped", "src/mertenslab/sieve.py",
+     "out[primes[i:j] - start] = np.minimum(primes[i:j], 0xFFFF)",
+     "out[primes[i:j] - start] = primes[i:j]",
+     ["tests/test_density.py::test_census_oracle_past_uint32_squares",
+      "tests/test_density.py::"
+      "test_census_counts_at_every_x_match_g_count_all",
+      "tests/test_acceptance.py::test_criterion_01_pair_bijection_exact"]),
+    ("census-flags-uint16", "src/mertenslab/density.py",
+     "p = p.astype(np.uint32)", "p = p.astype(np.uint16)",
+     ["tests/test_density.py::test_census_oracle_every_x_matches_brute",
+      "tests/test_density.py::test_census_counts_every_x_in_any_order[7]",
+      "tests/test_density.py::"
+      "test_census_counts_at_every_x_match_g_count_all"]),
+    ("split-interval-block-offset", "src/mertenslab/density.py",
+     "np.bincount(xs[a:b] - x[0], minlength=x.size)",
+     "np.bincount(xs[a:b] - x[0] + 1, minlength=x.size)",
+     ["tests/test_density.py::"
+      "test_split_interval_sweep_matches_the_per_x_loop[3000]",
+      "tests/test_density.py::"
+      "test_split_interval_counts_are_the_same_at_any_block[7]",
+      "tests/test_density.py::"
+      "test_split_interval_counts_are_the_same_at_any_block[4096]"]),
+    ("prime-steps-misplaced-power", "src/mertenslab/arith.py",
+     "into, prime, q = below[a:b] - (lo - a),",
+     "into, prime, q = below[a:b] - (lo - a) + 1,",
+     ["tests/test_summation.py::test_prime_steps_are_the_stable_sort",
+      "tests/test_summation.py::"
+      "test_prime_steps_at_prime_squares_and_cubes[9-True]",
+      "tests/test_summation.py::"
+      "test_prime_steps_at_block_edges[4096-True-4096]"]),
+    ("pieces-wrong-carried-value", "src/mertenslab/summation.py",
+     "value = values[b]", "value = values[a]",
+     [_SWEEP + "psi-linear-20000]", _SWEEP + "mertens1-bound-20000]",
+      _SWEEP + "lambda-sum-bound-20000]"]),
+    ("lambda-mertens-gap-unsorted", "src/mertenslab/partial_sums.py",
+     "pos = np.sort(higher_powers(table, x_max)[0])",
+     "pos = higher_powers(table, x_max)[0]",
+     [_SWEEP + "lambda-mertens-gap-20000]",
+      _SWEEP + "lambda-mertens-gap-ceiling=0.5-20000]"]),
+    ("dyadic-prefix-shifted", "src/mertenslab/bounds.py",
+     "cum = np.r_[0.0, cum]", "cum = np.r_[0.0, 0.0, cum[:-1]]",
+     [_SWEEP + "psi-dyadic-10]", _SWEEP + "psi-dyadic-1000]",
+      _SWEEP + "psi-dyadic-20000]"]),
 ]
 
 

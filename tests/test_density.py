@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mertenslab import density as D
-from mertenslab import sieve
+from mertenslab import sieve, summation
 from mertenslab.errors import DomainError
 from mertenslab.outcomes import Witness
 from mertenslab.sieve import largest_prime_factor
@@ -61,6 +61,14 @@ def test_census_oracle_past_uint32_squares(table_1e6):
     # P(n) > 65535 squares past 2^32: the census must not square in uint32
     for x in (65535, 65536, 65537, 2 ** 18 - 1, 2 ** 18 + 1, 10 ** 6):
         assert D.census_oracle(table_1e6, x) == D.g_count(table_1e6, x)
+
+
+def test_census_counts_at_every_x_match_g_count_all(table_1e6):
+    # every P(n) > 65535 reads 0xFFFF in the walk: 65,537 and its
+    # multiples, and every prime past it, up to 1e6
+    xs = np.arange(2, 10 ** 6 + 1)
+    assert np.array_equal(D.census_counts(table_1e6, xs),
+                          D.g_count_all(table_1e6, 10 ** 6)[2:])
 
 
 def test_g_count_examples(table_1e4):
@@ -175,7 +183,7 @@ def test_split_interval_sweep_matches_the_per_x_loop(table_1e4, verdict_args,
     # p^2 - p = 2, 6, 20, 42 open the spans of 2, 3, 5, 7 and
     # p^2 - 1 = 3, 8, 24, 48 close them: x_max on either side of each
     floors = verdict_args(D, "exact_case")
-    counts = verdict_args(D, "worst_case")
+    counts = verdict_args(D, "worst_case_blocks")
     assert D.split_interval_sweep(table_1e4, x_max).passed
     xs, ps, want_floors, want_counts = split_interval_loop(x_max)
     (got_xs, got_floors, got_rhs), = floors
@@ -185,7 +193,19 @@ def test_split_interval_sweep_matches_the_per_x_loop(table_1e4, verdict_args,
     (got_inputs, got_counts, got_cap), = counts
     assert got_inputs.tolist() == list(range(2, x_max + 1))
     assert got_counts.tobytes() == want_counts.tobytes()
-    assert got_cap == 1
+    assert np.all(got_cap == 1)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 41, 4096])
+def test_split_interval_counts_are_the_same_at_any_block(
+        table_1e4, monkeypatch, verdict_args, block):
+    # blocks end inside spans and on their edges: 42 = 7^2 - 7 opens 7's
+    monkeypatch.setattr(summation, "BLOCK", block)
+    counts = verdict_args(D, "worst_case_blocks")
+    assert D.split_interval_sweep(table_1e4, 3000).passed
+    (got_inputs, got_counts, _), = counts
+    assert got_inputs.tolist() == list(range(2, 3001))
+    assert got_counts.tobytes() == split_interval_loop(3000)[3].tobytes()
 
 
 def test_split_interval_sweep_witness_is_first_bad_x(table_1e4, monkeypatch):

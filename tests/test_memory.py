@@ -15,6 +15,10 @@ lambda-sum-bound peaked at 3.29 MB, mertens1-bound 2.02, psi-linear
 3.29, primorial-bound 1.39 and lambda-mertens-gap 1.90; streamed, they
 measure 0.61, 0.60, 0.45, 0.43 and 0.02. With S(x) at the table limit
 summed block by block, mm-route-agreement went 1.16 -> 0.17.
+split-interval, counting its x's over the whole range, peaked at 17.8
+MB; block by block it measures 3.1. The census at 2e7 (on the session's
+2e7 table) peaked at 45.5 MB with a uint32 memo of P(n) and 25.0 with
+the uint16 one capped at 0xFFFF.
 
 The nine point queries at 1e6 read their sums in the same blocks:
 0.10-0.20 MB for the float sums and 0.02 for g_count. Summed over whole
@@ -31,7 +35,7 @@ import tracemalloc
 import pytest
 
 import mertenslab as ml
-from mertenslab import sieve, suites, summation
+from mertenslab import density, sieve, suites, summation
 
 CEILINGS_MB = {
     "lambda-sum-bound": 0.9,
@@ -46,6 +50,7 @@ CEILINGS_MB = {
     "binomial-bounds": 4.2,
     "log-factorial-dual-route": 13.0,
     "pair-bijection": 13.0,
+    "split-interval": 4.0,
     "abel-exactness": 11.0,
     "mm-route-agreement": 0.3,
     "lambda-mertens-gap": 0.1,
@@ -82,6 +87,17 @@ def test_point_query_peak_allocation(table_1e6, monkeypatch, func):
     finally:
         tracemalloc.stop()
     assert peak < 0.3e6
+
+
+def test_census_peak_allocation(table_2e7):
+    # the walk's memo of P(n) for n <= 1e7 in uint16 is 20 MB
+    tracemalloc.start()
+    try:
+        density.census_counts(table_2e7, [2 * 10 ** 7])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_sieve_build_peak_allocation(monkeypatch):
