@@ -28,7 +28,7 @@ def von_mangoldt(table: SieveTable, n: int) -> float:
     table.check_range(n, lo=1)
     if n == 1:
         return 0.0
-    p = table.spf.item(n) or n
+    p = table.least_factor(n)
     m = n
     while m % p == 0:
         m //= p
@@ -86,7 +86,9 @@ def prime_steps(table: SieveTable, x: int, weight, powers: bool = False):
     the terms, bit for bit as np.log gives an element the same bits
     wherever it sits in an array."""
     ps = table.primes_upto(x)
-    hp = np.sort(higher_powers(table, x)[0]) if powers else ps[:0]
+    hp, hb = higher_powers(table, x) if powers else (ps[:0], ps[:0])
+    order = np.argsort(hp)
+    hp, hb = hp[order], table.primes[hb[order]]     # each power and its p
     below = np.searchsorted(ps, hp)     # the primes before each power
     at = below + np.arange(hp.size)     # its index among all terms
     block = []                          # the (m, p) merged last
@@ -95,7 +97,7 @@ def prime_steps(table: SieveTable, x: int, weight, powers: bool = False):
         a, b = np.searchsorted(at, [lo, hi]).tolist()
         into, prime, q = below[a:b] - (lo - a), ps[lo - a:hi - b], hp[a:b]
         block[:] = ((np.insert(prime, into, v) if b > a else prime)
-                    for v in ((q, table.spf[q]) if weight else (q,)))
+                    for v in ((q, hb[a:b]) if weight else (q,)))
         return block
 
     n = ps.size + hp.size

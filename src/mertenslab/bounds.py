@@ -110,7 +110,7 @@ def check_primorial_bound(table: SieveTable,
                    1, k_max, [(lambda k: k * LOG4, "upper")])
     primorial = 1
     for k in range(1, min(60, k_max) + 1):
-        if k >= 2 and table.spf[k] == 0:
+        if k >= 2 and table.least_factor(k) == k:
             primorial *= k
         if primorial > 4 ** k:
             return VerificationOutcome("primorial-bound", (1, k_max), False,
@@ -135,7 +135,7 @@ def check_interval_primorial(table: SieveTable,
     for m in range(1, min(30, m_max) + 1):
         prod = 1
         for p in range(m + 2, 2 * m + 2):
-            if table.spf[p] == 0:
+            if table.least_factor(p) == p:
                 prod *= p
         binom = math.comb(2 * m + 1, m + 1)
         if binom % prod != 0 or prod > 4 ** m:

@@ -168,22 +168,26 @@ def bijection_sweep(table: SieveTable, x_max: int,
 def split_identity_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
     """small + large parts reassemble g_count(x) exactly, all x <= x_max.
 
-    The parts are g_count_split's sums, taken for a block of x at once
-    over an (x, p) grid of at most LPF_CHUNK entries; x // p is 0 for
-    p > x, so the grid can hold every prime up to the block's last x.
+    With r = isqrt(x), the small part is the sum of p - 1 over p <= r and
+    the large part, sum_{r < p <= x} floor(x/p), is sum_{k <= r} pi(x // k)
+    - r pi(r) by quotient groups. A block of x takes an (x, k) grid of at
+    most LPF_CHUNK entries, k <= isqrt(x_max); k > r reads pi(0) = 0.
     """
     table.check_range(x_max)
     g_all = g_count_all(table, x_max)
-    ps = table.primes_upto(x_max)
-    step = max(1, LPF_CHUNK // ps.size)
+    pi = table.primes.searchsorted(np.arange(x_max + 1),
+                                   "right").astype(np.int32)
+    root = math.isqrt(x_max)
+    small = np.r_[0, np.cumsum(table.primes_upto(root) - 1)]  # at pi(r)
+    ks = np.arange(1, root + 1)
+    step = max(1, LPF_CHUNK // root)
     totals = []
     for lo in range(2, x_max + 1, step):
         xs = np.arange(lo, min(lo + step, x_max + 1), dtype=np.int64)
-        pb = ps[:int(np.searchsorted(ps, xs[-1], side="right"))]
-        grid = xs[:, None]
-        above = pb * pb > grid
-        totals.append(np.where(above, 0, pb - 1).sum(axis=1)
-                      + np.where(above, grid // pb, 0).sum(axis=1))
+        r = np.searchsorted(ks * ks, xs, "right")           # isqrt(x)
+        grid = xs[:, None] // ks[:r[-1]]
+        grid[ks[:r[-1]] ** 2 > xs[:, None]] = 0
+        totals.append(small[pi[r]] + pi[grid].sum(axis=1) - r * pi[r])
     return exact_case("split-identity", (2, x_max), np.arange(2, x_max + 1),
                       np.concatenate(totals), g_all[2:])
 

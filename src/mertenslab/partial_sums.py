@@ -237,8 +237,10 @@ def lambda_mertens_gap_sweep(table: SieveTable, x_max: int,
     log p / p^k; checking every jump value covers every integer x.
     """
     table.check_range(x_max)
-    pos = np.sort(higher_powers(table, x_max)[0])
-    cum = compensated_cumsum(log_base(pos, table.spf[pos]) / pos)
+    pos, bases = higher_powers(table, x_max)
+    order = np.argsort(pos)
+    pos = pos[order]
+    cum = compensated_cumsum(log_base(pos, table.primes[bases[order]]) / pos)
     if pos.size == 0:       # no higher power yet: the gap is 0 throughout
         pos, cum = np.array([x_max]), np.zeros(1)
     out = worst_case("lambda-mertens-gap", (2, x_max), pos, cum, ceiling,

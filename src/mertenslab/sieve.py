@@ -1,18 +1,18 @@
 """Segmented smallest-prime-factor sieve and prime tables.
 
-Every other module queries a SieveTable: the SPF array answers factor
+Every other module queries a SieveTable: least_factor answers factor
 structure in O(log n) per integer, the prime list answers counting and
 enumeration, and primes_upto(x) is the one way to the primes <= x. The
-uint16 SPF array is 0 at a prime, whose least factor is itself.
+uint16 SPF array holds the odd n = 2i + 1 only, 0 at 1 and the primes.
 build_sieve(limit) is the one way to a table. Construction is segmented
 so cache behaviour stays flat at large limits, and each segment takes
-plain strided stores of the base primes, largest first, so no slot is
-read back; the base primes, those up to sqrt(limit), are the prime list
-of a table built the same way at that smaller limit, and the finished
-table is immutable. Largest prime factors capped at 0xFFFF come from one
-memoized walk over the SPF chains (largest_factor_walk), exact ones from
-peeling each chain (largest_factor_range), and the factorizations of a
-range from one vectorized walk (factor_exponents).
+plain strided stores of the odd base primes, largest first, so no slot
+is read back; the base primes, those up to sqrt(limit), are the prime
+list of a table built the same way at that smaller limit, and the
+finished table is immutable. Largest prime factors capped at 0xFFFF come
+from one memoized walk over the SPF chains (largest_factor_walk), exact
+ones from peeling each chain (largest_factor_range), and the
+factorizations of a range from one vectorized walk (factor_exponents).
 """
 
 import math
@@ -33,12 +33,21 @@ class SieveTable:
     """Immutable SPF table and prime list up to ``limit`` inclusive."""
 
     limit: int
-    spf: np.ndarray      # uint16: least prime factor of composite n, else 0
+    spf: np.ndarray      # uint16: least factor of odd composite 2i + 1, else 0
     primes: np.ndarray   # int64, ascending, all primes <= limit
 
     def __post_init__(self):
         self.spf.flags.writeable = False
         self.primes.flags.writeable = False
+
+    def least_factor(self, n):
+        """Least prime factor of n in [2, limit], an int or an int64
+        array: 2 for even n, n itself for a prime."""
+        if isinstance(n, np.ndarray):
+            p = self.spf[(n - 1) >> 1].astype(np.int64)  # n >> 1 at odd n
+            np.copyto(p, n, where=p == 0)
+            return np.where(n & 1, p, 2)
+        return (self.spf.item(n >> 1) or n) if n & 1 else 2
 
     def primes_upto(self, x: int) -> np.ndarray:
         """The primes <= x, ascending: a view of ``primes``, empty below 2."""
@@ -60,22 +69,23 @@ class Factorization:
 def estimate_table_bytes(limit: int) -> int:
     """Rough upper bound on the memory a table at ``limit`` occupies."""
     prime_estimate = int(1.3 * limit / max(math.log(limit), 1.0)) + 16
-    return 2 * (limit + 1) + 8 * prime_estimate
+    return 2 * ((limit - 1) // 2 + 1) + 8 * prime_estimate
 
 
 def build_sieve(limit: int) -> SieveTable:
     """Build the SPF table and prime list for 2..limit.
 
-    The result is bit-identical for any SEGMENT >= 2: segments cover
-    disjoint ranges and base primes are stored largest-first with plain
-    strided writes, so a composite's smallest prime factor p, which
-    reaches it since p * p <= n, writes its slot last, and a prime's
-    stays 0. The base primes are build_sieve(isqrt(limit)).primes, none
-    below limit 4. A second pass writes each segment's primes, counted
-    by the first, into the prime list in place. A table whose estimated
-    size exceeds MEMORY_BUDGET raises ResourceError before anything is
-    allocated: from limit 1,290,685,816 on, so every composite's least
-    factor is at most isqrt(1,290,685,815) = 35,926 < 2^16 (uint16).
+    Only odd n = 2i + 1 have a slot. The result is bit-identical for any
+    SEGMENT >= 2: segments cover disjoint ranges of i and the odd base
+    primes are stored largest-first with plain strided writes, p slots
+    apart, so a composite's smallest prime factor p, which reaches it
+    since p * p <= n, writes its slot last, and a prime's stays 0. The
+    base primes are build_sieve(isqrt(limit)).primes[1:]. A second pass
+    writes each segment's primes, counted by the first, after 2 in the
+    prime list in place. A table whose estimated size exceeds
+    MEMORY_BUDGET raises ResourceError before anything is allocated: from
+    limit 2,170,994,305 on, so every composite's least factor is at most
+    isqrt(2,170,994,304) = 46,593 < 2^16 (uint16).
     """
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
@@ -88,25 +98,27 @@ def build_sieve(limit: int) -> SieveTable:
             f"(budget {MEMORY_BUDGET})",
             required_bytes=required, budget_bytes=MEMORY_BUDGET)
 
-    spf = np.zeros(limit + 1, dtype=np.uint16)
+    spf = np.zeros((limit - 1) // 2 + 1, dtype=np.uint16)
     root = math.isqrt(limit)
-    base = (build_sieve(root).primes if root >= 2
+    base = (build_sieve(root).primes[1:] if root >= 2
             else np.empty(0, dtype=np.int64))
     base_list = base.tolist()
-    segments, counts = range(2, limit + 1, SEGMENT), []
+    segments, counts = range(1, spf.size, SEGMENT), []   # i = 0 is n = 1
     for lo in segments:
-        hi = min(lo + SEGMENT, limit + 1)
-        view = spf[lo:hi]
-        reach = int(np.searchsorted(base, math.isqrt(hi - 1), side="right"))
-        for p in reversed(base_list[:reach]):    # the p with p * p < hi
-            view[max(p * p, -(-lo // p) * p) - lo:: p] = p
+        hi = min(lo + SEGMENT, spf.size)
+        view = spf[lo:hi]               # the odd n in [2 lo + 1, 2 hi)
+        reach = int(np.searchsorted(base, math.isqrt(2 * hi - 1), "right"))
+        for p in reversed(base_list[:reach]):    # the p with p * p < 2 hi
+            first = max(p * p, (-(-(2 * lo + 1) // p) | 1) * p)   # odd
+            view[(first >> 1) - lo:: p] = p
         counts.append(view.size - np.count_nonzero(view))
 
-    primes, at = np.empty(sum(counts), dtype=np.int64), 0
+    primes, at = np.empty(1 + sum(counts), dtype=np.int64), 1
+    primes[0] = 2
     for lo, count in zip(segments, counts):
         at += count
-        np.add(np.flatnonzero(spf[lo:lo + SEGMENT] == 0), lo,
-               out=primes[at - count:at])
+        primes[at - count:at] = (2 * np.flatnonzero(spf[lo:lo + SEGMENT] == 0)
+                                 + 2 * lo + 1)
     return SieveTable(limit=limit, spf=spf, primes=primes)
 
 
@@ -115,9 +127,8 @@ def factorize(table: SieveTable, n: int) -> Factorization:
     table.check_range(n)
     m = n
     factors: list[tuple[int, int]] = []
-    spf = table.spf
     while m > 1:
-        p = spf.item(m) or m
+        p = table.least_factor(m)
         e = 0
         while m % p == 0:
             m //= p
@@ -148,15 +159,13 @@ def factor_exponents(table: SieveTable, n_max: int):
     as often as it goes, and a stable sort by k puts the rounds in order.
     """
     table.check_range(n_max, lo=0)
-    spf = table.spf
     none = np.empty(0, dtype=np.int64)
     rounds = [(none, none, none)]
     for lo in range(2, n_max + 1, LPF_CHUNK):
         k = np.arange(lo, min(lo + LPF_CHUNK, n_max + 1), dtype=np.int64)
         m = k
         while k.size:
-            p = spf[m].astype(np.int64)
-            np.copyto(p, m, where=p == 0)       # m is prime
+            p = table.least_factor(m)
             m, e = divide_out(m, p)
             rounds.append((k, p, e))
             rest = m > 1
@@ -180,6 +189,7 @@ def largest_factor_walk(table: SieveTable, hi: int):
     off each integer's SPF chain, a prime p's spf being min(p, 0xFFFF):
     a composite's spf is below 2^16 and min distributes over max, so the
     capped P is exact, and 0xFFFF = 3 * 5 * 17 * 257 means P(n) > 65535.
+    A chunk takes spf 2 at its even n and the table's slots at its odd n.
     A chunk [start, stop) ends by 2 * start, so every cofactor n // spf(n)
     <= n/2 < start is known before its chunk runs. The memo keeps P up to
     (hi - 1) // 2, the largest cofactor; a chunk above it is a fresh array.
@@ -192,7 +202,8 @@ def largest_factor_walk(table: SieveTable, hi: int):
                    memo.size if start < memo.size else hi)
         out = (memo[start:stop] if stop <= memo.size
                else np.empty(stop - start, dtype=np.uint16))
-        out[:] = spf[start:stop]
+        out[start % 2::2] = 2                                # the even n
+        out[1 - start % 2::2] = spf[start >> 1:stop >> 1]    # the odd n
         i, j = primes.searchsorted([start, stop]).tolist()
         out[primes[i:j] - start] = np.minimum(primes[i:j], 0xFFFF)
         # divided in uint32, gathered with intp (numpy converts a uint32
@@ -205,13 +216,13 @@ def largest_factor_walk(table: SieveTable, hi: int):
 
 def largest_factor_range(table: SieveTable, lo: int, hi: int) -> np.ndarray:
     """Largest prime factor P(n) of every n in [lo, hi), uint32: each n
-    divided by its spf until a prime, which spf reads as 0, is left."""
+    divided by its least factor until a prime is left."""
     if not 2 <= lo <= hi <= table.limit + 1:
         raise DomainError(
             f"range [{lo}, {hi}) outside [2, {table.limit + 1})")
-    m = np.arange(lo, hi, dtype=np.uint32)
-    more = np.flatnonzero(table.spf[m])
+    m = np.arange(lo, hi, dtype=np.int64)
+    more = np.flatnonzero(table.least_factor(m) < m)
     while more.size:
-        m[more] //= table.spf[m[more]]
-        more = more[table.spf[m[more]] != 0]
-    return m
+        m[more] //= table.least_factor(m[more])
+        more = more[table.least_factor(m[more]) < m[more]]
+    return m.astype(np.uint32)

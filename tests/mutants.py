@@ -72,9 +72,26 @@ MUTANTS = [
      "- (r + 1) * small.size", "- r * small.size",
      ["tests/test_point_sums.py::test_g_count_by_quotient_groups_at_every_x"]),
     ("factorize-prime", "src/mertenslab/sieve.py",
-     "p = spf.item(m) or m", "p = spf.item(m)",
+     "self.spf.item(n >> 1) or n", "self.spf.item(n >> 1)",
      ["tests/test_sieve.py::test_factorize_matches_trial_division",
       "tests/test_sieve.py::test_factorize_examples"]),
+    ("least-factor-even-from-odd-slots", "src/mertenslab/sieve.py",
+     "(self.spf.item(n >> 1) or n) if n & 1 else 2",
+     "(self.spf.item(n >> 1) or n)",
+     ["tests/test_sieve.py::test_least_factor_is_spf_or_n",
+      "tests/test_sieve.py::test_factorize_examples",
+      "tests/test_sieve.py::test_readers_at_segment_ends[2]"]),
+    ("sieve-even-multiples", "src/mertenslab/sieve.py",
+     "(-(-(2 * lo + 1) // p) | 1) * p", "-(-(2 * lo + 1) // p) * p",
+     ["tests/test_sieve.py::test_segment_size_independence_large",
+      "tests/test_sieve.py::test_readers_at_segment_ends[7]",
+      "tests/test_sieve.py::test_readers_at_segment_ends[64]"]),
+    ("table-bytes-per-odd-index", "src/mertenslab/sieve.py",
+     "return 2 * ((limit - 1) // 2 + 1) + 8 * prime_estimate",
+     "return (limit - 1) // 2 + 1 + 8 * prime_estimate",
+     ["tests/test_memory.py::test_table_bytes[1000000]",
+      "tests/test_sieve.py::"
+      "test_resource_error_comes_before_any_uint16_overflow"]),
     ("walk-cap-dropped", "src/mertenslab/sieve.py",
      "out[primes[i:j] - start] = np.minimum(primes[i:j], 0xFFFF)",
      "out[primes[i:j] - start] = primes[i:j]",
@@ -110,8 +127,7 @@ MUTANTS = [
      [_SWEEP + "psi-linear-20000]", _SWEEP + "mertens1-bound-20000]",
       _SWEEP + "lambda-sum-bound-20000]"]),
     ("lambda-mertens-gap-unsorted", "src/mertenslab/partial_sums.py",
-     "pos = np.sort(higher_powers(table, x_max)[0])",
-     "pos = higher_powers(table, x_max)[0]",
+     "order = np.argsort(pos)", "order = np.arange(pos.size)",
      [_SWEEP + "lambda-mertens-gap-20000]",
       _SWEEP + "lambda-mertens-gap-ceiling=0.5-20000]"]),
     ("dyadic-prefix-shifted", "src/mertenslab/bounds.py",

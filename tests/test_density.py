@@ -240,17 +240,30 @@ def test_split_identity_sweep_matches_scalar_split(table_1e4, monkeypatch):
     assert outcome.passed and outcome.worst_witness.input == 3000
 
 
-_EDGE = 2 + D.LPF_CHUNK // 430      # first block edge at x_max = 3000
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_split_identity_sweep_at_any_block(table_1e4, monkeypatch, chunk):
+    # blocks of max(1, chunk // 54) x's at x_max = 3000, one x at chunk 1
+    totals = _scalar_split_totals(table_1e4, 3000)
+    monkeypatch.setattr(D, "g_count_all", lambda table, x_max: totals)
+    monkeypatch.setattr(D, "LPF_CHUNK", chunk)
+    outcome = D.split_identity_sweep(table_1e4, 3000)
+    assert outcome.passed and outcome.worst_witness.input == 3000
+
+
+_EDGE = 611     # first block edge at x_max = 3000 with blocks of 609 x's
 
 
 @pytest.mark.parametrize("bad", [1500, _EDGE - 1, _EDGE, _EDGE + 1, 3000])
 def test_split_identity_sweep_reports_first_mismatch(table_1e4, monkeypatch,
                                                      bad):
-    assert table_1e4.primes_upto(3000).size == 430
+    # k runs to isqrt(3000) = 54, so LPF_CHUNK = 609 * 54 gives blocks of
+    # 609 x's starting at 2, 611, 1220, ...
+    assert math.isqrt(3000) == 54
     totals = _scalar_split_totals(table_1e4, 3000)
     totals[bad] += 1
     totals[bad + 7:] += 1       # a later mismatch must not be the witness
     monkeypatch.setattr(D, "g_count_all", lambda table, x_max: totals)
+    monkeypatch.setattr(D, "LPF_CHUNK", (_EDGE - 2) * 54)
     outcome = D.split_identity_sweep(table_1e4, 3000)
     w = outcome.worst_witness
     assert not outcome.passed

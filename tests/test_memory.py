@@ -120,5 +120,5 @@ PRIME_COUNTS = {2: 1, 3: 2, 100: 25, 10 ** 4: 1229, 65_537: 6543,
 def test_table_bytes(limit):
     table = sieve.build_sieve(limit)
     size = table.spf.nbytes + table.primes.nbytes
-    assert size == 2 * (limit + 1) + 8 * PRIME_COUNTS[limit]
+    assert size == 2 * ((limit - 1) // 2 + 1) + 8 * PRIME_COUNTS[limit]
     assert size <= sieve.estimate_table_bytes(limit)

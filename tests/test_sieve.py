@@ -33,28 +33,94 @@ def test_build_sieve_examples():
                                    10 ** 4 + 1])
 def test_primes_and_spf_at_square_boundaries(limit):
     # the base primes come from the table at isqrt(limit), which gains a
-    # prime at limit p^2 and has none below limit 4; a prime's slot is 0
+    # prime at limit p^2 and has none below limit 4 (no odd one below 9);
+    # the table has a slot for each odd n <= limit, 0 at 1 and a prime
     table = build_sieve(limit)
     assert table.primes.tolist() == trial_primes(limit)
-    assert table.spf.tolist() == [0, 0] + [
+    assert table.spf.tolist() == [0] + [
         0 if len(f) == 1 and f[0][1] == 1 else f[0][0]
-        for f in map(trial_factorize, range(2, limit + 1))]
+        for f in map(trial_factorize, range(3, limit + 1, 2))]
+    least = [trial_factorize(n)[0][0] for n in range(2, limit + 1)]
+    assert [table.least_factor(n) for n in range(2, limit + 1)] == least
+    assert table.least_factor(np.arange(2, limit + 1)).tolist() == least
 
 
 def test_spf_invariants(table_1e4):
     spf = table_1e4.spf
-    assert spf.dtype == np.uint16 and spf[0] == spf[1] == 0
-    # spf[n] == 0 exactly at the primes
+    assert spf.dtype == np.uint16 and spf.size == 5000 and spf[0] == 0
+    # spf[i] == 0 exactly at the odd primes 2i + 1
     primes = set(table_1e4.primes.tolist())
     assert primes == set(trial_primes(10 ** 4))
-    assert primes == {n for n in range(2, 10 ** 4 + 1) if spf[n] == 0}
-    # a composite's entry is its trial least factor p, with p * p <= n
-    for n in set(range(2, 10 ** 4 + 1)) - primes:
-        p = int(spf[n])
+    assert primes == {2} | {2 * i + 1 for i in range(1, 5000) if spf[i] == 0}
+    # an odd composite's entry is its trial least factor p, with p * p <= n
+    for n in set(range(3, 10 ** 4 + 1, 2)) - primes:
+        p = int(spf[n >> 1])
         assert n % p == 0
         assert trial_factorize(n)[0][0] == p
-        assert p * p <= n
+        assert p * p <= n and p % 2 == 1
     assert table_1e4.primes[0] == 2 and table_1e4.primes[1] == 3
+
+
+def _full_spf(limit: int) -> np.ndarray:
+    """spf[n] or n for n = 0..limit over the whole range: the least factor
+    of every n >= 2, each d <= sqrt(limit) storing onto its multiples from
+    d^2 on, largest d first, so the least prime factor writes last."""
+    spf = np.arange(limit + 1, dtype=np.int64)
+    for d in range(math.isqrt(limit), 1, -1):
+        spf[d * d::d] = d
+    return spf
+
+
+def test_least_factor_is_spf_or_n(table_1e6):
+    # every n <= 1e6, as an int and as an array in any order: 2 at every
+    # even n, p at p^2 for each odd prime p, n itself at a prime
+    full, table = _full_spf(10 ** 6), table_1e6
+    ns = np.arange(2, 10 ** 6 + 1)
+    got = table.least_factor(ns)
+    assert got.dtype == np.int64 and np.array_equal(got, full[2:])
+    shuffled = np.random.default_rng(7).permutation(ns)
+    assert np.array_equal(table.least_factor(shuffled), full[shuffled])
+    scalar = [table.least_factor(n) for n in range(2, 10 ** 6 + 1)]
+    assert scalar == full[2:].tolist()
+    assert all(type(p) is int for p in scalar[:1000])
+    assert table.least_factor(2) == 2
+    assert set(got[::2].tolist()) == {2}
+    odd_primes = table.primes[1:table.primes.searchsorted(1000)]
+    assert table.least_factor(odd_primes ** 2).tolist() == odd_primes.tolist()
+    assert [table.least_factor(int(p) ** 2) for p in odd_primes] \
+        == odd_primes.tolist()
+
+
+@pytest.mark.parametrize("segment", [2, 7, 64])
+def test_readers_at_segment_ends(segment):
+    # SEGMENT odd slots per segment, so a segment ends at every n =
+    # 2 (1 + j SEGMENT) + 1; each reader against trial division at the n
+    # within 3 of one, so every n at SEGMENT 2
+    limit = 3000
+    with mock.patch.object(sieve, "SEGMENT", segment):
+        table = build_sieve(limit)
+    ends = range(2 * (1 + segment) + 1, limit + 1, 2 * segment)
+    ns = sorted({n for e in ends for n in range(e - 3, e + 4)
+                 if 2 <= n <= limit} | {2, 3, limit})
+    trial = {n: trial_factorize(n) for n in ns}
+    assert table.primes.tolist() == trial_primes(limit)
+    for n in ns:
+        assert table.least_factor(n) == trial[n][0][0]
+        assert factorize(table, n).factors == trial[n]
+        assert largest_prime_factor(table, n) == trial[n][-1][0]
+        lam = (math.log(trial[n][0][0]) if len(trial[n]) == 1 else 0.0)
+        assert von_mangoldt(table, n) == lam
+    assert table.least_factor(np.array(ns)).tolist() == [
+        trial[n][0][0] for n in ns]
+    ks, ps, es = factor_exponents(table, limit)
+    starts, stops = np.searchsorted(ks, ns), np.searchsorted(ks, ns, "right")
+    for n, i, j in zip(ns, starts.tolist(), stops.tolist()):
+        assert list(zip(ps[i:j].tolist(), es[i:j].tolist())) == trial[n]
+    lpf = largest_factor_range(table, 2, limit + 1)
+    walk = np.concatenate([p for _, p in
+                           sieve.largest_factor_walk(table, limit + 1)])
+    for got in (lpf, walk):
+        assert [int(got[n - 2]) for n in ns] == [trial[n][-1][0] for n in ns]
 
 
 def test_prime_list_strictly_increasing(table_1e4):
@@ -229,25 +295,25 @@ def test_domain_errors(table_1e4):
 def test_resource_error_reports_bytes():
     # the estimate exceeds the budget, so nothing is allocated
     with pytest.raises(ResourceError) as err:
-        build_sieve(2 * 10 ** 9)
+        build_sieve(3 * 10 ** 9)
     assert err.value.required_bytes > sieve.MEMORY_BUDGET
     assert err.value.budget_bytes == sieve.MEMORY_BUDGET
 
 
 def test_resource_error_comes_before_any_uint16_overflow():
-    # the 2-byte estimate passes the budget from 1,290,685,816 on, so a
-    # table's composites have least factors below isqrt(1,290,685,815) =
-    # 35,926 < 2^16; the estimate and build_sieve(2^32) both raise before
-    # they touch numpy at all
+    # the estimate, 2 bytes per odd n, passes the budget from
+    # 2,170,994,305 on, so a table's composites have least factors below
+    # isqrt(2,170,994,304) = 46,593 < 2^16; the estimate and
+    # build_sieve(2^32) both raise before they touch numpy at all
     with mock.patch.object(sieve, "np") as fake_np:
-        assert (sieve.estimate_table_bytes(1_290_685_815)
+        assert (sieve.estimate_table_bytes(2_170_994_304)
                 <= sieve.MEMORY_BUDGET
-                < sieve.estimate_table_bytes(1_290_685_816))
+                < sieve.estimate_table_bytes(2_170_994_305))
         with pytest.raises(ResourceError) as err:
             build_sieve(2 ** 32)
     assert fake_np.mock_calls == []
     assert err.value.required_bytes > sieve.MEMORY_BUDGET
-    assert math.isqrt(1_290_685_815) == 35_926 < 2 ** 16
+    assert math.isqrt(2_170_994_304) == 46_593 < 2 ** 16
     assert build_sieve(100).spf.dtype == np.uint16
 
 
