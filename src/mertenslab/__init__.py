@@ -9,7 +9,6 @@ tolerances where only asymptotics are claimed.
 
 from .arith import (
     chebyshev_psi,
-    generalized_lambda,
     prime_count,
     theta_log_primorial,
     von_mangoldt,
@@ -17,9 +16,7 @@ from .arith import (
 from .density import (
     census_oracle,
     density_series,
-    split_point,
     g_count,
-    g_count_split,
     rough_tail_sum,
 )
 from .errors import DomainError, ResourceError
@@ -43,7 +40,6 @@ from .sieve import (
     SieveTable,
     build_sieve,
     factorize,
-    largest_prime_factor,
 )
 
 __version__ = "0.1.0"
@@ -54,11 +50,10 @@ __all__ = [
     "MEISSEL_MERTENS_REFERENCE", "ResidualReport", "ResourceError",
     "SieveTable", "VerificationOutcome", "Witness", "abel_summation",
     "build_sieve", "census_oracle", "chebyshev_psi", "density_series",
-    "factorize", "g_count", "g_count_split", "generalized_lambda",
-    "largest_prime_factor", "log_zeta_truncation",
+    "factorize", "g_count", "log_zeta_truncation",
     "meissel_mertens_from_series", "meissel_mertens_from_tail",
     "mertens_first_sum", "prime_count", "reciprocal_prime_sum",
-    "rough_tail_sum", "split_point", "sum_lambda_over_n",
+    "rough_tail_sum", "sum_lambda_over_n",
     "mertens2_residual_report",
     "theta_log_primorial", "von_mangoldt",
 ]

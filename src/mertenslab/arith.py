@@ -1,11 +1,11 @@
 """The classical arithmetic functions over a sieve table.
 
-Point evaluations of the von Mangoldt function, the Chebyshev functions,
-pi(x) and the generalized von Mangoldt divisor sums, plus the tables and
-vectorized sweeps the verification suites run over exhaustive ranges:
-Moebius values, log-factorials, Legendre's valuations and the Selberg
-identity. Point prime sums (prime_parts, prime_sum) and prime step
-functions (prime_steps) read the primes a block at a time.
+Point evaluations of the von Mangoldt function, the Chebyshev functions
+and pi(x), plus the tables and vectorized sweeps the verification suites
+run over exhaustive ranges: Moebius values, log-factorials, Legendre's
+valuations and the Selberg identity. Point prime sums (prime_parts,
+prime_sum) and prime step functions (prime_steps) read the primes a block
+at a time.
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError
 from .outcomes import (VerificationOutcome, exact_case, worst_case,
                        worst_case_blocks)
-from .sieve import SieveTable, divide_out, factor_exponents, factorize
+from .sieve import SieveTable, divide_out, factor_exponents
 from . import summation
 from .summation import (_multiples, _parts, compensated_cumsum,
                         cumsum_blocks, dirichlet, fsum, int_blocks, joined,
@@ -160,23 +160,6 @@ def prime_count(table: SieveTable, x: int) -> int:
     """pi(x) by binary search in the prime list."""
     table.check_range(x, lo=0)
     return table.primes_upto(x).size
-
-
-def generalized_lambda(table: SieveTable, n: int, k: int) -> float:
-    """Divisor sum of mu(d) log^k(n/d); k = 1 reproduces von_mangoldt.
-
-    Only squarefree d contribute, so the sum runs over subsets of the
-    distinct primes of n, built by doubling, with sign by subset parity.
-    """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    table.check_range(n, lo=1)
-    if n == 1:
-        return 0.0
-    divs = [(1.0, 1)]
-    for p, _ in factorize(table, n).factors:
-        divs += [(-mu, d * p) for mu, d in divs]
-    return fsum([mu * math.log(n // d) ** k for mu, d in divs])
 
 
 # ---------------------------------------------------------------------------

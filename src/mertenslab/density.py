@@ -72,27 +72,6 @@ def g_count(table: SieveTable, x: int) -> int:
     return int(small.sum() + counts.sum()) - (r + 1) * small.size
 
 
-def split_point(x: int) -> float:
-    """Split point 1/2 + sqrt(1/4 + x); always in (sqrt x, 1 + x]."""
-    if x < 1:
-        raise DomainError(f"split point needs x >= 1, got {x}")
-    return 0.5 + math.sqrt(0.25 + x)
-
-
-def g_count_split(table: SieveTable, x: int) -> tuple[int, int]:
-    """The two halves of the pair count: (p-1) below sqrt x, floors above.
-
-    Thresholds are exact: p <= sqrt x iff p*p <= x.
-    """
-    table.check_range(x)
-    ps = table.primes_upto(x)
-    below = ps[ps * ps <= x]
-    above = ps[ps * ps > x]
-    small = int((below - 1).sum())
-    large = int((x // above).sum())
-    return small, large
-
-
 def rough_tail_sum(table: SieveTable, n: int) -> float:
     """Sum of 1/p over primes with sqrt n < p <= n; tends to log 2."""
     if n < 4:
@@ -193,13 +172,14 @@ def split_identity_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
 
 
 def split_interval_sweep(table: SieveTable, x_max: int) -> VerificationOutcome:
-    """At most one prime lies in (sqrt x, split_point(x)] for every x <= x_max,
-    and any such prime p has floor(x/p) = p - 1.
+    """At most one prime p has p(p - 1) <= x < p^2, for every x <= x_max,
+    and any such prime has floor(x/p) = p - 1.
 
-    p in the interval iff p*p > x and p(p-1) <= x, i.e. x in
-    [p^2 - p, p^2 - 1]: integer arithmetic throughout. The j-th x of
-    p's span is p(p-1) + j - 1, for j = 1..min(p, x_max - p^2 + p + 1);
-    the spans ascend with p, and the counts are read BLOCK x's at a time.
+    These are the primes in (sqrt x, 1/2 + sqrt(1/4 + x)]; p is one of
+    them iff x lies in [p^2 - p, p^2 - 1]: integer arithmetic throughout.
+    The j-th x of p's span is p(p-1) + j - 1, for j = 1..min(p, x_max -
+    p^2 + p + 1); the spans ascend with p, and the counts are read BLOCK
+    x's at a time.
     """
     table.check_range(x_max)
     ps = table.primes_upto(math.isqrt(x_max) + 1)

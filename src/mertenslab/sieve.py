@@ -175,12 +175,6 @@ def factor_exponents(table: SieveTable, n_max: int):
     return ks[order], ps[order], es[order]
 
 
-def largest_prime_factor(table: SieveTable, n: int) -> int:
-    """Largest prime dividing n: the last of factorize's ascending
-    factors."""
-    return factorize(table, n).factors[-1][0]
-
-
 def largest_factor_walk(table: SieveTable, hi: int):
     """Largest prime factor P(n) of every n in [2, hi), capped at 0xFFFF,
     in uint16, as (start, P) pairs for chunks of at most LPF_CHUNK.

@@ -92,6 +92,11 @@ MUTANTS = [
      ["tests/test_memory.py::test_table_bytes[1000000]",
       "tests/test_sieve.py::"
       "test_resource_error_comes_before_any_uint16_overflow"]),
+    ("largest-factor-range-one-round", "src/mertenslab/sieve.py",
+     "    while more.size:\n        m[more] //= table.least_factor(m[more])",
+     "    if more.size:\n        m[more] //= table.least_factor(m[more])",
+     ["tests/test_sieve.py::test_largest_factor_range",
+      "tests/test_sieve.py::test_largest_factor_range_across_chunk_ends"]),
     ("walk-cap-dropped", "src/mertenslab/sieve.py",
      "out[primes[i:j] - start] = np.minimum(primes[i:j], 0xFFFF)",
      "out[primes[i:j] - start] = primes[i:j]",
@@ -105,6 +110,10 @@ MUTANTS = [
       "tests/test_density.py::test_census_counts_every_x_in_any_order[7]",
       "tests/test_density.py::"
       "test_census_counts_at_every_x_match_g_count_all"]),
+    ("split-identity-square-boundary", "src/mertenslab/density.py",
+     "ks[:r[-1]] ** 2 > xs[:, None]", "ks[:r[-1]] ** 2 >= xs[:, None]",
+     ["tests/test_density.py::"
+      "test_split_identity_sweep_matches_scalar_split"]),
     ("split-interval-block-offset", "src/mertenslab/density.py",
      "np.bincount(xs[a:b] - x[0], minlength=x.size)",
      "np.bincount(xs[a:b] - x[0] + 1, minlength=x.size)",

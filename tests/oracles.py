@@ -60,6 +60,16 @@ def g_count_all_loop(x_max: int) -> np.ndarray:
     return np.cumsum(diff)
 
 
+def g_count_split_loop(x: int, primes: list[int] | None = None):
+    """The two parts of G(x), one prime at a time: the sum of p - 1 over
+    the primes with p^2 <= x, and the sum of x // p over the primes p <= x
+    with p^2 > x. primes, trial_primes(x) by default, may run past x."""
+    ps = [p for p in (trial_primes(x) if primes is None else primes)
+          if p <= x]
+    return (sum(p - 1 for p in ps if p * p <= x),
+            sum(x // p for p in ps if p * p > x))
+
+
 def split_interval_loop(x_max: int):
     """For each x = 2..x_max, the primes p with p(p - 1) <= x < p^2,
     found by trying every prime <= x_max. Returns int64 arrays: the

@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from mertenslab import arith as A
 from mertenslab.errors import DomainError
 from mertenslab.outcomes import Witness
-from mertenslab.summation import compensated_cumsum
+from mertenslab.summation import compensated_cumsum, dirichlet
 
-from oracles import (divisor_lambda_loop, divisors_brute, k1_diffs_loop,
-                     legendre_misses_loop, mobius_brute, selberg_diffs_loop,
-                     trial_factorize)
+from oracles import (divisor_lambda_loop, k1_diffs_loop, legendre_misses_loop,
+                     mobius_brute, selberg_diffs_loop, trial_factorize)
 
 
 def test_von_mangoldt_examples(table_1e4):
@@ -110,35 +109,14 @@ def test_prime_count(table_1e4):
     assert A.prime_count(table_1e4, 100) == 25
 
 
-def test_generalized_lambda(table_1e4):
-    assert A.generalized_lambda(table_1e4, 8, 1) == pytest.approx(
-        math.log(2), abs=1e-12)
-    assert A.generalized_lambda(table_1e4, 1, 2) == 0.0
-    assert A.generalized_lambda(table_1e4, 12, 2) == pytest.approx(
-        2 * math.log(2) * math.log(3), abs=1e-12)
-    with pytest.raises(DomainError):
-        A.generalized_lambda(table_1e4, 12, 0)
-
-
-def test_generalized_lambda_brute_divisor_sum(table_1e4):
-    # independent route: all divisors with brute-force mobius
-    for n in (12, 30, 64, 360, 9973):
-        for k in (1, 2, 3):
-            expected = math.fsum(
-                mobius_brute(d) * math.log(n // d) ** k
-                for d in divisors_brute(n))
-            assert A.generalized_lambda(table_1e4, n, k) == pytest.approx(
-                expected, abs=1e-10)
-
-
 def test_selberg_examples(table_1e4, verdict_args):
     calls = verdict_args(A, "worst_case")
     assert A.selberg_sweep(table_1e4, 1).passed
     assert A.selberg_sweep(table_1e4, 30).passed
     # both sides are 0 at n = 1 and equal 3 log^2 2 at n = 4
     assert calls[0][1].tolist() == [0.0]
-    assert A.generalized_lambda(table_1e4, 4, 2) == pytest.approx(
-        3 * math.log(2) ** 2, abs=1e-12)
+    lam2 = dirichlet(A.mobius_values(table_1e4, 4), A._log_powers(4, 2), 4)
+    assert lam2[4] == 3 * math.log(2) ** 2
     assert calls[1][1][[0, 3, 29]].max() <= 1e-12
 
 

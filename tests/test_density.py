@@ -9,15 +9,18 @@ from mertenslab import density as D
 from mertenslab import sieve, summation
 from mertenslab.errors import DomainError
 from mertenslab.outcomes import Witness
-from mertenslab.sieve import largest_prime_factor
 
-from oracles import (census_brute, g_count_all_loop, split_interval_loop,
-                     trial_largest_factor)
+from oracles import (census_brute, g_count_all_loop, g_count_split_loop,
+                     split_interval_loop, trial_largest_factor, trial_primes)
 
 
 def test_largest_prime_factor_boundaries(table_1e4):
+    # the census flag P(n)^2 > n, with P from the walk the census reads
+    walk = np.concatenate([p for _, p in
+                           sieve.largest_factor_walk(table_1e4, 1500)])
+
     def large(n):
-        return largest_prime_factor(table_1e4, n) ** 2 > n
+        return int(walk[n - 2]) ** 2 > n
 
     assert large(10)        # 5^2 > 10
     assert not large(4)     # 2^2 = 4, strict
@@ -98,35 +101,6 @@ def test_g_count_all_matches_the_prime_loop(table_1e5, x):
     assert np.array_equal(got, g_count_all_loop(x))
 
 
-def test_split_point():
-    assert D.split_point(10) == pytest.approx(3.7015621187164243, rel=1e-15)
-    assert D.split_point(2) == 2.0
-    with pytest.raises(DomainError):
-        D.split_point(0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(x=st.integers(1, 10 ** 9))
-def test_split_point_chain(x):
-    e = D.split_point(x)
-    assert math.sqrt(x) < e <= 1 + x
-
-
-def test_split_point_consistency(table_1e4):
-    # primes with p - 1 <= floor(10/p) are exactly those below the split
-    small = [p for p in (2, 3, 5, 7) if p - 1 <= 10 // p]
-    below = [p for p in (2, 3, 5, 7) if p <= D.split_point(10)]
-    assert small == below == [2, 3]
-
-
-def test_g_count_split(table_1e4):
-    assert D.g_count_split(table_1e4, 10) == (3, 3)
-    assert D.g_count_split(table_1e4, 4) == (1, 1)
-    for x in range(2, 2000):
-        small, large = D.g_count_split(table_1e4, x)
-        assert small + large == D.g_count(table_1e4, x)
-
-
 def test_rough_tail_sum(table_1e4):
     assert D.rough_tail_sum(table_1e4, 10) == pytest.approx(1 / 5 + 1 / 7,
                                                             rel=1e-15)
@@ -150,7 +124,6 @@ def test_large_factor_census_invariants(table_1e4):
     g = D.g_count(table_1e4, 1000)
     assert g == D.census_oracle(table_1e4, 1000) == census_brute(1000)[1000]
     assert 0.0 <= g / 1000 <= 1.0
-    assert math.sqrt(1000) < D.split_point(1000) <= 1001
 
 
 def test_sweeps(table_1e5):
@@ -224,16 +197,18 @@ def test_split_interval_sweep_witness_is_first_bad_x(table_1e4, monkeypatch):
                                         margin=-1.0)
 
 
-def _scalar_split_totals(table, x_max):
-    """small + large from the scalar g_count_split, for x = 0..x_max."""
-    return np.array([0, 0] + [sum(D.g_count_split(table, x))
+def _scalar_split_totals(x_max):
+    """small + large from the per-prime g_count_split_loop, for
+    x = 0..x_max."""
+    primes = trial_primes(x_max)
+    return np.array([0, 0] + [sum(g_count_split_loop(x, primes))
                               for x in range(2, x_max + 1)], dtype=np.int64)
 
 
 def test_split_identity_sweep_matches_scalar_split(table_1e4, monkeypatch):
     # with G(x) replaced by the scalar totals, the sweep passes only if its
-    # blocked totals equal g_count_split at every x <= 3000
-    totals = _scalar_split_totals(table_1e4, 3000)
+    # blocked totals equal g_count_split_loop at every x <= 3000
+    totals = _scalar_split_totals(3000)
     assert np.array_equal(totals, D.g_count_all(table_1e4, 3000))
     monkeypatch.setattr(D, "g_count_all", lambda table, x_max: totals)
     outcome = D.split_identity_sweep(table_1e4, 3000)
@@ -243,7 +218,7 @@ def test_split_identity_sweep_matches_scalar_split(table_1e4, monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
 def test_split_identity_sweep_at_any_block(table_1e4, monkeypatch, chunk):
     # blocks of max(1, chunk // 54) x's at x_max = 3000, one x at chunk 1
-    totals = _scalar_split_totals(table_1e4, 3000)
+    totals = _scalar_split_totals(3000)
     monkeypatch.setattr(D, "g_count_all", lambda table, x_max: totals)
     monkeypatch.setattr(D, "LPF_CHUNK", chunk)
     outcome = D.split_identity_sweep(table_1e4, 3000)
@@ -259,7 +234,7 @@ def test_split_identity_sweep_reports_first_mismatch(table_1e4, monkeypatch,
     # k runs to isqrt(3000) = 54, so LPF_CHUNK = 609 * 54 gives blocks of
     # 609 x's starting at 2, 611, 1220, ...
     assert math.isqrt(3000) == 54
-    totals = _scalar_split_totals(table_1e4, 3000)
+    totals = _scalar_split_totals(3000)
     totals[bad] += 1
     totals[bad + 7:] += 1       # a later mismatch must not be the witness
     monkeypatch.setattr(D, "g_count_all", lambda table, x_max: totals)

@@ -15,7 +15,6 @@ from mertenslab.sieve import (
     factor_exponents,
     factorize,
     largest_factor_range,
-    largest_prime_factor,
 )
 
 from oracles import trial_factorize, trial_largest_factor, trial_primes
@@ -107,7 +106,6 @@ def test_readers_at_segment_ends(segment):
     for n in ns:
         assert table.least_factor(n) == trial[n][0][0]
         assert factorize(table, n).factors == trial[n]
-        assert largest_prime_factor(table, n) == trial[n][-1][0]
         lam = (math.log(trial[n][0][0]) if len(trial[n]) == 1 else 0.0)
         assert von_mangoldt(table, n) == lam
     assert table.least_factor(np.array(ns)).tolist() == [
@@ -162,7 +160,7 @@ def test_factorize_reads_python_ints(table_1e4):
         factors = factorize(table_1e4, n).factors
         assert all(type(p) is int and type(e) is int for p, e in factors)
         assert math.prod(p ** e for p, e in factors) == n
-        assert type(largest_prime_factor(table_1e4, n)) is int
+        assert factors[-1][0] == trial_largest_factor(n)
 
 
 @pytest.mark.parametrize("chunk", [sieve.LPF_CHUNK, 1, 7, 1000])
@@ -197,14 +195,6 @@ def test_factorize_examples(table_1e4):
     assert factorize(table_1e4, 2).factors == [(2, 1)]
 
 
-def test_largest_prime_factor(table_1e4):
-    assert largest_prime_factor(table_1e4, 10) == 5
-    assert largest_prime_factor(table_1e4, 8) == 2
-    assert largest_prime_factor(table_1e4, 97) == 97
-    for n in range(2, 2000):
-        assert largest_prime_factor(table_1e4, n) == trial_largest_factor(n)
-
-
 def test_largest_factor_range(table_1e4):
     got = largest_factor_range(table_1e4, 2, 2000)
     expect = [trial_largest_factor(n) for n in range(2, 2000)]
@@ -214,7 +204,7 @@ def test_largest_factor_range(table_1e4):
 
 def test_largest_factor_range_across_chunk_ends(table_1e6):
     # windows straddling each end of the memo's chunks, one ending at
-    # limit + 1; checked against the scalar SPF peel
+    # limit + 1; checked against trial division
     limit = table_1e6.limit
     ends = [2 ** k for k in range(2, 19)]
     ends += range(2 ** 18 + 2 ** 18, limit, 2 ** 18)
@@ -222,7 +212,7 @@ def test_largest_factor_range_across_chunk_ends(table_1e6):
     windows.append((limit - 40, limit + 1))
     for lo, hi in windows:
         got = largest_factor_range(table_1e6, lo, hi)
-        expect = [largest_prime_factor(table_1e6, n) for n in range(lo, hi)]
+        expect = [trial_largest_factor(n) for n in range(lo, hi)]
         assert got.tolist() == expect
 
 
@@ -242,7 +232,6 @@ def test_readers_against_trial_division(table_1e6):
     trial = {n: trial_factorize(n) for n in ns}
     for n in ns:
         assert factorize(table, n).factors == trial[n]
-        assert largest_prime_factor(table, n) == trial[n][-1][0]
         lam = (math.log(trial[n][0][0]) if len(trial[n]) == 1 else 0.0)
         assert von_mangoldt(table, n) == lam
     ks, ps, es = factor_exponents(table, table.limit)
@@ -285,7 +274,7 @@ def test_domain_errors(table_1e4):
     with pytest.raises(DomainError):
         factorize(table_1e4, 10 ** 4 + 1)
     with pytest.raises(DomainError):
-        largest_prime_factor(table_1e4, 0)
+        factorize(table_1e4, 0)
     for lo, hi in ((1, 10), (2, 10 ** 4 + 2), (10, 9)):
         with pytest.raises(DomainError):
             largest_factor_range(table_1e4, lo, hi)
